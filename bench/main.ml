@@ -5,7 +5,12 @@
    Usage:
      dune exec bench/main.exe                 # everything, scaled down
      dune exec bench/main.exe -- --only fig8,table3
-     dune exec bench/main.exe -- --full       # paper-scale parameters *)
+     dune exec bench/main.exe -- --full       # paper-scale parameters
+
+   When several experiments are selected, each runs in a child process of
+   its own (this executable re-run with --only <name> and the same scale
+   flag), so no experiment measures on the heap and caches an earlier one
+   left behind; the run fails when any child fails. *)
 
 let all_experiments : (string * (Experiments.scale -> unit)) list =
   [
@@ -29,6 +34,19 @@ let all_experiments : (string * (Experiments.scale -> unit)) list =
     ("batch", fun scale -> ignore (Experiments.batch scale));
     ("obs", fun scale -> ignore (Experiments.obs scale));
   ]
+
+(* Re-run this executable on experiment [name] alone; true when it
+   succeeds. *)
+let run_isolated name scale_flags =
+  Fmt.pr "%!";
+  let argv = Sys.executable_name :: "--only" :: name :: scale_flags in
+  let pid =
+    Unix.create_process Sys.executable_name (Array.of_list argv) Unix.stdin
+      Unix.stdout Unix.stderr
+  in
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 0 -> true
+  | _ -> false
 
 let run only full bechamel smoke json json5 json7 json8 json9 json10 =
   if bechamel then Micro.run ()
@@ -62,13 +80,24 @@ let run only full bechamel smoke json json5 json7 json8 json9 json10 =
     exit 1
   end;
   let t0 = Unix.gettimeofday () in
-  List.iter
-    (fun (name, f) ->
-      let t = Unix.gettimeofday () in
-      f scale;
-      Fmt.pr "[%s done in %.1f s]@." name (Unix.gettimeofday () -. t))
-    selected;
-  Fmt.pr "@.total: %.1f s@." (Unix.gettimeofday () -. t0)
+  match selected with
+  | [ (name, f) ] ->
+    f scale;
+    Fmt.pr "[%s done in %.1f s]@." name (Unix.gettimeofday () -. t0)
+  | _ ->
+    let flags =
+      if full then [ "--full" ] else if smoke then [ "--smoke" ] else []
+    in
+    let failed =
+      List.filter_map
+        (fun (name, _) -> if run_isolated name flags then None else Some name)
+        selected
+    in
+    Fmt.pr "@.total: %.1f s@." (Unix.gettimeofday () -. t0);
+    if failed <> [] then begin
+      Fmt.epr "failed experiments: %s@." (String.concat ", " failed);
+      exit 1
+    end
 
 open Cmdliner
 

@@ -1282,25 +1282,31 @@ let explain_cmd =
     let doc = "The SQL statement to explain (quote it)." in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"SQL" ~doc)
   in
-  let doc = "The delta-code path a statement traverses" in
+  let doc = "The compiled plan and the delta-code path of a statement" in
   let man =
     [
       `S Manpage.s_description;
       `P
-        "For every object the statement names: its role in the genealogy, \
-         the Section 6 access path from its table version to the data, the \
-         flattening decision (single composed hop or layered stack), the \
-         installed view stack, the physical tables touched and — for \
-         INSERT/UPDATE/DELETE — the trigger cascade the write would fire. \
-         $(b,--analyze) additionally executes the statement under profile \
-         tracing and annotates the plan with actual per-node rows and \
-         timings, cross-checked against the executed row count.";
+        "For a SELECT, the plan the executor compiles for it: one line per \
+         operator (select, join, scan, view, ...) with the access path the \
+         compiler chose (batch, row, index, pushdown, hash, ...), view \
+         bodies expanded. A SELECT that does not compile is an error (exit \
+         1). Then, for every object the statement names: its role in the \
+         genealogy, the Section 6 access path from its table version to the \
+         data, the flattening decision (single composed hop or layered \
+         stack), the installed view stack, the physical tables touched and \
+         — for INSERT/UPDATE/DELETE — the trigger cascade the write would \
+         fire. $(b,--analyze) additionally executes the statement under \
+         profile tracing, prints each plan node's measured rows and time \
+         (and the path it ran on where that differs: a computed view the \
+         cache served reads cache-hit), flags any span the plan does not \
+         account for, and cross-checks the executed row count.";
     ]
   in
   let analyze =
     let doc =
-      "EXPLAIN ANALYZE: really execute the statement and annotate the static \
-       plan with measured per-node rows and timings."
+      "EXPLAIN ANALYZE: really execute the statement and annotate each node \
+       of the compiled plan with its measured rows and time."
     in
     Arg.(value & flag & info [ "analyze" ] ~doc)
   in

@@ -3,11 +3,13 @@
     per-table-version figures, derives the {!Advisor.profile} the Section 8.2
     advisor needs from observed traffic, renders unified stats (text and
     JSON), serializes statement spans as JSON lines, and implements EXPLAIN —
-    the delta-code path a statement would traverse, reconstructed from the
-    genealogy, the flattening pass and the installed catalog. *)
+    the plan the executor compiles for a query, plus the delta-code path a
+    statement traverses, reconstructed from the genealogy, the flattening
+    pass and the installed catalog. *)
 
 module G = Genealogy
 module Db = Minidb.Database
+module E = Minidb.Exec
 module M = Minidb.Metrics
 module Sql = Minidb.Sql_ast
 
@@ -154,25 +156,29 @@ let pp_dur ns =
   else if ns >= 1_000 then Fmt.str "%.1fus" (float_of_int ns /. 1e3)
   else Fmt.str "%dns" ns
 
+(* "kind detail via path", each part only when present: how spans and plan
+   nodes name an operator. *)
+let op_label kind details path =
+  String.concat " "
+    (kind :: List.filter (( <> ) "") details
+    @ if path = "" then [] else [ "via"; path ])
+
 let span_label (sp : M.span) =
-  let buf = Buffer.create 48 in
-  Buffer.add_string buf sp.M.sp_kind;
-  if sp.M.sp_detail <> "" then begin
-    Buffer.add_char buf ' ';
-    Buffer.add_string buf sp.M.sp_detail
-  end;
-  if sp.M.sp_targets <> [] then
-    Buffer.add_string buf (" [" ^ String.concat "," sp.M.sp_targets ^ "]");
-  if sp.M.sp_path <> "" then Buffer.add_string buf (" via " ^ sp.M.sp_path);
-  Buffer.contents buf
+  op_label sp.M.sp_kind
+    [ sp.M.sp_detail;
+      (if sp.M.sp_targets = [] then ""
+       else "[" ^ String.concat "," sp.M.sp_targets ^ "]") ]
+    sp.M.sp_path
+
+(* The children of span [id] in open order. *)
+let span_children (tr : M.trace) id =
+  List.filter (fun (sp : M.span) -> sp.M.sp_parent = id) tr.M.tr_spans
+  |> List.sort (fun (a : M.span) (b : M.span) -> compare a.M.sp_id b.M.sp_id)
 
 (** One trace as an indented tree, root first, children in open order. *)
 let trace_tree_text (tr : M.trace) =
   let buf = Buffer.create 256 in
-  let children p =
-    List.filter (fun (sp : M.span) -> sp.M.sp_parent = p) tr.M.tr_spans
-    |> List.sort (fun (a : M.span) (b : M.span) -> compare a.M.sp_id b.M.sp_id)
-  in
+  let children = span_children tr in
   let rec go indent (sp : M.span) =
     Buffer.add_string buf (String.make (2 * indent) ' ');
     Buffer.add_string buf (span_label sp);
@@ -402,6 +408,26 @@ let data_table_of (gen : G.t) k =
       key (Naming.data_table ~id:v.G.tv_id ~table:v.G.tv_table) = k)
     (G.all_table_versions gen)
 
+(* The role object [k] plays in the genealogy, and its table version when
+   it has one. *)
+let role_of (db : Db.t) (gen : G.t) k =
+  match version_view_of gen k, canonical_of gen k, data_table_of gen k with
+  | Some (version, table, tvid), _, _ ->
+    ( Fmt.str "version view (%s of version %s, tv%d)" table version tvid,
+      Some (G.tv gen tvid) )
+  | None, Some v, _ ->
+    ( Fmt.str "canonical table-version view (tv%d of %s)" v.G.tv_id
+        v.G.tv_table,
+      Some v )
+  | None, None, Some v ->
+    (Fmt.str "physical data table of tv%d(%s)" v.G.tv_id v.G.tv_table, Some v)
+  | None, None, None ->
+    ( (match Db.find_object db k with
+      | Some (Db.Obj_table _) -> "plain table (outside the genealogy)"
+      | Some (Db.Obj_view _) -> "plain view (outside the genealogy)"
+      | None -> "unknown object"),
+      None )
+
 let smo_label (si : G.smo_instance) =
   Fmt.str "SMO #%d %s (%s)" si.G.si_id
     (Bidel.Ast.smo_name si.G.si_smo)
@@ -541,41 +567,104 @@ let physical_bases (db : Db.t) (gen : G.t) k =
     | _ -> (
       match Db.find_object db k with Some (Db.Obj_table _) -> [ k ] | _ -> []))
 
-(** EXPLAIN one SQL statement: for every object it names, the role of that
-    object in the genealogy, the access path to the data, the flattening
-    decision, the installed view stack, the physical tables touched and —
-    for writes — the trigger cascade. Returns human-readable text. *)
-let explain (db : Db.t) (gen : G.t) sql =
-  let stmt = Minidb.Sql_parser.statement_of_string sql in
+(* --- plans -------------------------------------------------------------------- *)
+
+(* Operators that record a span of their own when they run; the other plan
+   nodes are transparent to the trace. *)
+let operator_kind = function
+  | "select" | "scan" | "view" | "join" -> true
+  | _ -> false
+
+(* One plan node as a line: what the compiler chose and, once it ran, the
+   rows and time its [spans] measured — one span per evaluation — and any
+   other path they report (a computed view the cache served reads
+   [cache-hit]). *)
+let node_line indent (p : E.plan) spans =
+  let sum f = List.fold_left (fun n sp -> n + f sp) 0 spans in
+  let runs = List.length spans in
+  String.concat "  "
+    ((String.make (2 * indent) ' ' ^ op_label p.E.kind [ p.E.detail ] p.E.path)
+    :: (if runs = 0 then []
+        else
+          [ Fmt.str "rows=%d" (sum (fun sp -> sp.M.sp_rows));
+            pp_dur (sum (fun sp -> sp.M.sp_ns)) ])
+    @ (if runs > 1 then [ Fmt.str "runs=%d" runs ] else [])
+    @ List.sort_uniq compare
+        (List.filter_map
+           (fun (sp : M.span) ->
+             if sp.M.sp_path = p.E.path then None
+             else Some ("ran via " ^ sp.M.sp_path))
+           spans))
+
+(* The operator nodes among [ps], seen through transparent ones. *)
+let rec frontier ps =
+  List.concat_map
+    (fun (p : E.plan) ->
+      if operator_kind p.E.kind then [ p ] else frontier p.E.inputs)
+    ps
+
+(* Render [node] and its inputs, indented by depth. [spans] are the ones
+   [node] recorded while the statement ran; their operator children (among
+   [children sp]) are paired, in open order, with the first unpaired input
+   of the same kind and detail, seen through transparent nodes, and a
+   repeated evaluation pairs again. A child no input accounts for is printed
+   as an unplanned span: a disagreement between the plan and what ran. *)
+let rec plan_lines emit children indent (node : E.plan) spans =
+  emit (node_line indent node spans);
+  let slots = List.map (fun p -> (p, ref [])) (frontier node.E.inputs) in
+  List.iter
+    (fun (sp : M.span) ->
+      let same ((p : E.plan), _) =
+        p.E.kind = sp.M.sp_kind && p.E.detail = sp.M.sp_detail
+      in
+      let unpaired ((_, got) as s) = same s && !got = [] in
+      match
+        match List.find_opt unpaired slots with
+        | None -> List.find_opt same slots
+        | fresh -> fresh
+      with
+      | Some (_, got) -> got := sp :: !got
+      | None ->
+        emit
+          (Fmt.str "%sunplanned span: %s"
+             (String.make (2 * (indent + 1)) ' ')
+             (span_label sp)))
+    (List.concat_map children spans
+    |> List.filter (fun (sp : M.span) -> operator_kind sp.M.sp_kind));
+  let rec input indent (p : E.plan) =
+    if operator_kind p.E.kind then
+      plan_lines emit children indent p (List.rev !(List.assq p slots))
+    else begin
+      emit (node_line indent p []);
+      List.iter (input (indent + 1)) p.E.inputs
+    end
+  in
+  List.iter (input (indent + 1)) node.E.inputs
+
+(* The named objects a plan reads, with the path each read was compiled to. *)
+let rec plan_reads (p : E.plan) =
+  (if p.E.kind = "scan" || p.E.kind = "view" then [ (p.E.detail, p.E.path) ]
+   else [])
+  @ List.concat_map plan_reads p.E.inputs
+
+(* The compiled plan of a query statement; raises the executor's own error
+   when the query does not compile. *)
+let query_plan (db : Db.t) = function
+  | Sql.Query q -> Some (E.plan db q)
+  | _ -> None
+
+(* EXPLAIN of a parsed statement and, for a query, its compiled [plan];
+   EXPLAIN ANALYZE passes the [trace] of the run, whose spans annotate the
+   plan's nodes. *)
+let explain_stmt ?trace (db : Db.t) (gen : G.t) stmt plan =
   let buf = Buffer.create 1024 in
   let add fmt = Fmt.kstr (Buffer.add_string buf) fmt in
   let emit line = Buffer.add_string buf (line ^ "\n") in
   let flat = if gen.G.versions = [] then fun _ -> G.F_physical else Flatten.plan gen in
   let explain_object ?write_event name =
     let k = key name in
-    let tv_info =
-      match version_view_of gen k with
-      | Some (version, table, tvid) ->
-        add "%s: version view (%s of version %s, tv%d)@." k table version tvid;
-        Some (G.tv gen tvid)
-      | None -> (
-        match canonical_of gen k with
-        | Some v ->
-          add "%s: canonical table-version view (tv%d of %s)@." k v.G.tv_id
-            v.G.tv_table;
-          Some v
-        | None -> (
-          match data_table_of gen k with
-          | Some v ->
-            add "%s: physical data table of tv%d(%s)@." k v.G.tv_id v.G.tv_table;
-            Some v
-          | None ->
-            (match Db.find_object db k with
-            | Some (Db.Obj_table _) -> add "%s: plain table (outside the genealogy)@." k
-            | Some (Db.Obj_view _) -> add "%s: plain view (outside the genealogy)@." k
-            | None -> add "%s: unknown object@." k);
-            None))
-    in
+    let role, tv_info = role_of db gen k in
+    add "%s: %s@." k role;
     (match tv_info with
     | Some v ->
       add " genealogy access path:@.";
@@ -616,13 +705,16 @@ let explain (db : Db.t) (gen : G.t) sql =
       (match Minidb.Exec.query_targets q with
       | [] -> "(no stored objects)"
       | ts -> String.concat ", " ts);
-    (* per-operator executor choice: columnar batch pipeline vs row-at-a-time
-       interpretation vs the index / view-pushdown fast paths *)
-    (match Minidb.Exec.access_paths db q with
-    | [] -> ()
-    | paths ->
-      add "executor access paths:@.";
-      List.iter (fun (obj, p) -> add "  %s: %s@." obj p) paths);
+    Option.iter
+      (fun p ->
+        add "plan:@.";
+        match trace with
+        | None -> plan_lines emit (fun _ -> []) 1 p []
+        | Some tr ->
+          plan_lines emit
+            (fun (sp : M.span) -> span_children tr sp.M.sp_id)
+            1 p [ tr.M.tr_root ])
+      plan;
     List.iter explain_object (Minidb.Exec.query_targets q)
   | Sql.Insert { table; _ } ->
     add "INSERT into %s@." (key table);
@@ -636,11 +728,23 @@ let explain (db : Db.t) (gen : G.t) sql =
   | _ -> add "EXPLAIN supports SELECT, INSERT, UPDATE and DELETE statements@.");
   Buffer.contents buf
 
-(** EXPLAIN as a JSON object: statement kind, named targets, per-target role
-    / flattening / physical bases, and the rendered text for everything
+(** EXPLAIN one SQL statement: for a query, the plan the executor compiles
+    for it; for every object it names, the role of that object in the
+    genealogy, the access path to the data, the flattening decision, the
+    installed view stack, the physical tables touched and — for writes —
+    the trigger cascade. Returns human-readable text; raises the executor's
+    error when a query does not compile. *)
+let explain (db : Db.t) (gen : G.t) sql =
+  let stmt = Minidb.Sql_parser.statement_of_string sql in
+  explain_stmt db gen stmt (query_plan db stmt)
+
+(** EXPLAIN as a JSON object: statement kind, named targets, the objects the
+    compiled plan reads with their access paths, per-target role /
+    flattening / physical bases, and the rendered text for everything
     path-shaped. *)
 let explain_json (db : Db.t) (gen : G.t) sql =
   let stmt = Minidb.Sql_parser.statement_of_string sql in
+  let plan = query_plan db stmt in
   let flat = if gen.G.versions = [] then fun _ -> G.F_physical else Flatten.plan gen in
   let kind, targets =
     match stmt with
@@ -652,23 +756,7 @@ let explain_json (db : Db.t) (gen : G.t) sql =
   in
   let target_json name =
     let k = key name in
-    let role, tv =
-      match version_view_of gen k with
-      | Some (version, table, tvid) ->
-        ( Fmt.str "version view %s.%s" version table,
-          Some (G.tv gen tvid) )
-      | None -> (
-        match canonical_of gen k with
-        | Some v -> ("canonical table-version view", Some v)
-        | None -> (
-          match data_table_of gen k with
-          | Some v -> ("physical data table", Some v)
-          | None -> (
-            match Db.find_object db k with
-            | Some (Db.Obj_table _) -> ("plain table", None)
-            | Some (Db.Obj_view _) -> ("plain view", None)
-            | None -> ("unknown", None))))
-    in
+    let role, tv = role_of db gen k in
     let flattening =
       match tv with
       | Some v -> jstr (flatten_text (flat (G.tv_name v)))
@@ -689,13 +777,13 @@ let explain_json (db : Db.t) (gen : G.t) sql =
       (String.concat "," (List.map jstr (physical_bases db gen k)))
   in
   let access_paths =
-    match stmt with
-    | Sql.Query q ->
-      Minidb.Exec.access_paths db q
-      |> List.map (fun (obj, p) ->
-             Fmt.str "{\"object\":%s,\"path\":%s}" (jstr obj) (jstr p))
+    match plan with
+    | Some p ->
+      plan_reads p
+      |> List.map (fun (obj, path) ->
+             Fmt.str "{\"object\":%s,\"path\":%s}" (jstr obj) (jstr path))
       |> String.concat ","
-    | _ -> ""
+    | None -> ""
   in
   Fmt.str
     "{\"kind\":%s,\"targets\":[%s],\"access_paths\":[%s],\"objects\":[%s],\"text\":%s}"
@@ -703,7 +791,7 @@ let explain_json (db : Db.t) (gen : G.t) sql =
     (String.concat "," (List.map jstr targets))
     access_paths
     (String.concat "," (List.map target_json targets))
-    (jstr (explain db gen sql))
+    (jstr (explain_stmt db gen stmt plan))
 
 (* --- OpenMetrics exposition -------------------------------------------------- *)
 
@@ -824,53 +912,37 @@ let run_traced (db : Db.t) sql =
   in
   (result, trace)
 
-(** EXPLAIN ANALYZE: execute the statement with tracing on and annotate the
-    static plan with actual per-node rows and timings, cross-checked against
-    the executed result's own row attribution. Note the statement really
-    runs — a write writes. *)
+(** EXPLAIN ANALYZE: execute the statement with tracing on, annotate the
+    compiled plan with the rows and timings each node's spans measured, list
+    any span the plan does not account for, and cross-check the trace
+    root's row count against the executed result's own row attribution.
+    Note the statement really runs — a write writes. *)
 let explain_analyze (db : Db.t) (gen : G.t) sql =
-  let static = explain db gen sql in
+  let stmt = Minidb.Sql_parser.statement_of_string sql in
+  let plan = query_plan db stmt in
+  (* a write changes the state EXPLAIN describes, so its text is rendered
+     before it runs; a query's text waits for the spans of its plan *)
+  let static =
+    if Option.is_none plan then explain_stmt db gen stmt None else ""
+  in
   let result, trace = run_traced db sql in
-  let executed = result_rows result in
   let buf = Buffer.create 1024 in
   let add fmt = Fmt.kstr (Buffer.add_string buf) fmt in
-  add "%s" static;
-  match trace with
-  | None -> add "actual execution: no trace recorded@."; Buffer.contents buf
+  add "%s"
+    (if Option.is_none plan then static
+     else explain_stmt ?trace db gen stmt plan);
+  (match trace with
+  | None -> add "actual execution: no trace recorded@."
   | Some tr ->
     let root = tr.M.tr_root in
     add "actual execution (trace %d, %s total):@." root.M.sp_trace
       (pp_dur root.M.sp_ns);
     add "%s" (trace_tree_text tr);
-    (* per-plan-node actuals against the static access paths *)
-    (try
-       match Minidb.Sql_parser.statement_of_string sql with
-       | Sql.Query q -> (
-         match Minidb.Exec.access_paths db q with
-         | [] -> ()
-         | paths ->
-           add "per-node actuals:@.";
-           List.iter
-             (fun (obj, path) ->
-               let actual =
-                 List.find_opt
-                   (fun (sp : M.span) ->
-                     (sp.M.sp_kind = "scan" || sp.M.sp_kind = "view")
-                     && sp.M.sp_detail = obj)
-                   tr.M.tr_spans
-               in
-               match actual with
-               | Some sp ->
-                 add "  %s: %s (planned %s) rows=%d %s@." obj sp.M.sp_path path
-                   sp.M.sp_rows (pp_dur sp.M.sp_ns)
-               | None -> add "  %s: %s (not reached)@." obj path)
-             paths)
-       | _ -> ()
-     with _ -> ());
+    let executed = result_rows result in
     add "cross-check: trace root rows=%d, executed rows=%d -> %s@."
       root.M.sp_rows executed
-      (if root.M.sp_rows = executed then "exact match" else "MISMATCH");
-    Buffer.contents buf
+      (if root.M.sp_rows = executed then "exact match" else "MISMATCH"));
+  Buffer.contents buf
 
 (** [inverda_cli profile <stmt>]: execute with tracing and render the trace
     tree plus a one-line summary. *)

@@ -59,12 +59,16 @@ val stats_json : Minidb.Database.t -> Genealogy.t -> string
 val stats_text : Minidb.Database.t -> Genealogy.t -> string
 
 val explain : Minidb.Database.t -> Genealogy.t -> string -> string
-(** [explain db gen sql]: for every object the statement names — its role in
-    the genealogy, the Section 6 access path to the data, the flattening
+(** [explain db gen sql]: for a query, the plan the executor compiles for it
+    ({!Minidb.Exec.plan}); for every object the statement names — its role
+    in the genealogy, the Section 6 access path to the data, the flattening
     decision, the installed view stack, the physical tables touched, and for
-    DML the trigger cascade. Raises on unparsable SQL. *)
+    DML the trigger cascade. Raises on unparsable SQL, and with the
+    executor's own [Exec_error] on a query that does not compile. *)
 
 val explain_json : Minidb.Database.t -> Genealogy.t -> string -> string
+(** {!explain} as a JSON object; its [access_paths] are the objects the
+    compiled plan reads, each with the path it was compiled to. *)
 
 val metrics_text : Minidb.Database.t -> Genealogy.t -> string
 (** OpenMetrics/Prometheus text exposition: engine counters, per-schema-
@@ -73,9 +77,12 @@ val metrics_text : Minidb.Database.t -> Genealogy.t -> string
     terminated by [# EOF]. *)
 
 val explain_analyze : Minidb.Database.t -> Genealogy.t -> string -> string
-(** Execute the statement with profile-mode tracing and annotate the static
-    plan with actual per-node rows and timings, cross-checked against the
-    executed result's row attribution. The statement really runs. *)
+(** Execute the statement with profile-mode tracing and annotate each node
+    of the compiled plan with the rows and time its spans measured (and the
+    path they report where it differs: a computed view the cache served
+    reads [cache-hit]), list any span the plan does not account for, and
+    cross-check the trace root's rows against the executed result's row
+    attribution. The statement really runs. *)
 
 val profile : Minidb.Database.t -> string -> string
 (** Execute with tracing forced on and render the statement's trace tree

@@ -249,7 +249,10 @@ let cache_store t name rel deps =
 
 let cache_stats t = (t.view_cache_hits, t.view_cache_misses)
 
-let find_object t name = Hashtbl.find_opt t.objects (key name)
+(** The object whose catalog key ({!key}: lowercase name) is [k]. *)
+let find_key t k = Hashtbl.find_opt t.objects k
+
+let find_object t name = find_key t (key name)
 
 let find_table t name =
   match find_object t name with

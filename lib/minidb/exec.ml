@@ -23,6 +23,14 @@ exception Exec_error of string
 
 let error fmt = Fmt.kstr (fun s -> raise (Exec_error s)) fmt
 
+(** One operator of a compiled plan, returned by the compile function that
+    chose it: the span [kind] and [detail] it records when it runs
+    ([select], [join], [scan], [view]; the [query] root, [union], [order]
+    and batch-fused [filter] nodes record none of their own), the access
+    [path] it was compiled to — the very label its span carries — and its
+    [inputs] in evaluation order. *)
+type plan = { kind : string; detail : string; path : string; inputs : plan list }
+
 (* --- runtime environment ------------------------------------------------ *)
 
 type eval_ctx = {
@@ -32,6 +40,10 @@ type eval_ctx = {
       (** tables whose scan was already recorded this statement — shared by
           the row and batch paths so telemetry counts one scan per statement
           per table regardless of which executor served it *)
+  mutable subplans : plan list;
+      (** plans of the expression subqueries (EXISTS, IN, scalar) compiled
+          since the enclosing operator started compiling, newest first; that
+          operator adopts them as inputs (see {!collecting}) *)
 }
 
 type env = {
@@ -43,7 +55,18 @@ type env = {
 (** A compile-time scope: for each column position its alias and name. *)
 type scope = { entries : (string option * string) array }
 
-let fresh_ctx db = { db; cache = Hashtbl.create 16; scans = Hashtbl.create 8 }
+let fresh_ctx db =
+  { db; cache = Hashtbl.create 16; scans = Hashtbl.create 8; subplans = [] }
+
+(* Run the compile step [f] and return its result together with the plans
+   of the expression subqueries it compiled, in compile order. *)
+let collecting ctx f =
+  let saved = ctx.subplans in
+  ctx.subplans <- [];
+  let r = f () in
+  let subs = List.rev ctx.subplans in
+  ctx.subplans <- saved;
+  (r, subs)
 
 let no_params : (string, Value.t) Hashtbl.t = Hashtbl.create 1
 
@@ -287,6 +310,57 @@ let rec subquery_free = function
   | In_list (a, items, _) ->
     subquery_free a && List.for_all subquery_free items
   | Exists _ | In_query _ | Scalar _ -> false
+
+(* Row-independent at every depth: no column reference, no subquery. *)
+let rec column_free = function
+  | Col _ -> false
+  | Const _ | Param _ -> true
+  | Unop (_, a) | Is_null (a, _) -> column_free a
+  | Binop (_, a, b) -> column_free a && column_free b
+  | Fun (_, args) -> List.for_all column_free args
+  | Case (arms, d) ->
+    List.for_all (fun (c, v) -> column_free c && column_free v) arms
+    && (match d with Some x -> column_free x | None -> true)
+  | In_list (a, items, _) -> column_free a && List.for_all column_free items
+  | Exists _ | In_query _ | Scalar _ -> false
+
+(* A key pin: an equality between a column and a column-free expression. *)
+let pin_of = function
+  | Binop (Eq, Col (q, n), e) when column_free e -> Some (q, n, e)
+  | Binop (Eq, e, Col (q, n)) when column_free e -> Some (q, n, e)
+  | _ -> None
+
+(* Inner joins all the way down: ON and WHERE filtering coincide, so a
+   conjunct may move between them. *)
+let rec all_inner = function
+  | From_join (l, Inner, r, _) -> all_inner l && all_inner r
+  | From_join _ -> false
+  | From_table _ | From_select _ -> true
+
+(* Push the pin [icol = key] onto the FROM leaf aliased [alias], wrapping it
+   as a filtered subselect so the filter reduces that side before any join;
+   on an inner join the reduced side moves left, so a stored right side
+   stays probeable by its index. [None] when no leaf carries the alias. *)
+let rec pin_side alias icol key = function
+  | From_table (name, Some a)
+    when String.lowercase_ascii a = String.lowercase_ascii alias ->
+    Some
+      (From_select
+         ( select_query
+             (simple_select
+                ~from:(From_table (name, Some a))
+                ~where:(Binop (Eq, Col (None, icol), key))
+                [ Star ]),
+           a ))
+  | From_table _ | From_select _ -> None
+  | From_join (l, k, r, c) -> (
+    match pin_side alias icol key l with
+    | Some l' -> Some (From_join (l', k, r, c))
+    | None -> (
+      match pin_side alias icol key r with
+      | Some r' when k = Inner -> Some (From_join (r', k, l, c))
+      | Some r' -> Some (From_join (l, k, r', c))
+      | None -> None))
 
 (* Row-direct mirror of {!compile_expr} for subquery-free expressions: the
    outer [env -> _] stage resolves everything row-independent (parameters,
@@ -554,6 +628,43 @@ let positional_items (entries : (string option * string) array) scopes items =
   in
   Option.map Array.of_list (all items)
 
+(* Positions that re-emit all [width] input columns in order. *)
+let identity_positions positions width =
+  Array.length positions = width
+  &&
+  let ok = ref true in
+  Array.iteri (fun j p -> if p <> j then ok := false) positions;
+  !ok
+
+(* A whole-table read serves ascending-rowid order off the shared columnar
+   snapshot when batch mode is on; the row list is memoized on the batch, so
+   repeated scans of an unchanged table cost a hash lookup. *)
+let scan_path db = if db.Db.batch_enabled then "batch" else "row"
+
+let object_columns ctx name =
+  match Db.find_object ctx.db name with
+  | Some (Db.Obj_table tbl) -> Schema.names tbl.Table.schema
+  | Some (Db.Obj_view v) -> v.Db.view_cols
+  | None -> error "no such table or view %s" name
+
+(* The columns of a named object and the node of a read of it through
+   [object_relation]: the table scan it records, or the view it evaluates
+   ({!plan} expands the body). *)
+let object_read ctx name =
+  let detail = Db.key name in
+  match Db.find_key ctx.db detail with
+  | Some (Db.Obj_table tbl) ->
+    ( Schema.names tbl.Table.schema,
+      { kind = "scan"; detail; path = scan_path ctx.db; inputs = [] } )
+  | Some (Db.Obj_view v) ->
+    (v.Db.view_cols, { kind = "view"; detail; path = "computed"; inputs = [] })
+  | None -> error "no such table or view %s" name
+
+(* Scope entries of the FROM leaf [name AS alias] with columns [cols]. *)
+let leaf_entries name alias cols =
+  let a = Some (Option.value alias ~default:name) in
+  Array.of_list (List.map (fun c -> (a, c)) cols)
+
 let rec compile_expr ctx scopes e : env -> Value.t =
   match e with
   | Const v -> fun _ -> v
@@ -648,7 +759,7 @@ let rec compile_expr ctx scopes e : env -> Value.t =
         else if !saw_null then Value.Null
         else Value.Bool negated)
   | Scalar q ->
-    let fq = compile_query ctx scopes q in
+    let fq = compile_subquery ctx scopes q in
     fun env -> (
       let rel = fq env in
       match rel.rel_rows with
@@ -717,17 +828,25 @@ and compile_function ctx scopes name args =
    inner key columns. Falls back to naive re-evaluation otherwise. *)
 and compile_exists ctx scopes q negated =
   match decorrelate ctx scopes q with
-  | Some probe ->
+  | Some (p, probe) ->
+    ctx.subplans <- p :: ctx.subplans;
     fun env -> Value.Bool (if negated then probe env = [] else probe env <> [])
   | None ->
-    let fq = compile_query ctx scopes q in
+    let fq = compile_subquery ctx scopes q in
     fun env ->
       let rel = fq env in
       Value.Bool (if negated then rel.rel_rows = [] else rel.rel_rows <> [])
 
+(* An expression subquery: compiled like any query, its plan handed to the
+   enclosing operator. *)
+and compile_subquery ctx scopes q =
+  let p, fq = compile_query ctx scopes q in
+  ctx.subplans <- p :: ctx.subplans;
+  fq
+
 and compile_in_query ctx scopes e q negated =
   let fe = compile_expr ctx scopes e in
-  let fq = compile_query ctx scopes q in
+  let fq = compile_subquery ctx scopes q in
   fun env ->
     let v = fe env in
     if Value.is_null v then Value.Null
@@ -745,21 +864,17 @@ and compile_in_query ctx scopes e q negated =
       else Value.Bool negated
     end
 
-(** Attempt to compile the subquery into [env -> matching inner rows]. *)
+(** Attempt to compile the subquery into [env -> matching inner rows], with
+    the plan node of the read that serves it. *)
 and decorrelate ctx scopes q =
   match q with
   | { body = Select sel; order_by = []; limit = None } -> (
     match sel with
     | { from = Some (From_table (tname, alias)); group_by = []; having = None;
         distinct = false; _ } ->
-      let inner_cols =
-        match Db.find_object ctx.db tname with
-        | Some (Db.Obj_table tbl) -> Schema.names tbl.Table.schema
-        | Some (Db.Obj_view v) -> v.Db.view_cols
-        | None -> error "no such table or view %s" tname
+      let inner_scope =
+        { entries = from_entries ctx (From_table (tname, alias)) }
       in
-      let inner_alias = match alias with Some a -> Some a | None -> Some tname in
-      let inner_scope = scope_of_cols ?alias:inner_alias inner_cols in
       let sub_scopes = inner_scope :: scopes in
       let conj = match sel.where with None -> [] | Some w -> conjuncts w in
       (* Split into inner-only conjuncts and correlated equalities. *)
@@ -816,7 +931,9 @@ and decorrelate ctx scopes q =
           match index_probe with
           | Some (tbl, idx) ->
             Some
-              (fun env ->
+              ( { kind = "scan"; detail = Db.key tname; path = "index";
+                  inputs = [] },
+                fun env ->
                 if Table.cardinality tbl = 0 then []
                 else
                   let outer_ok =
@@ -828,15 +945,16 @@ and decorrelate ctx scopes q =
                     | [ f ] ->
                       let v = f env in
                       if Value.is_null v then [] else Table.index_probe tbl idx v
-                    | _ -> [])
+                    | _ -> [] )
           | None ->
           (* The memo is built lazily, once per statement (ctx). *)
           let memo :
               (Value.t list, Value.t array list) Hashtbl.t option ref =
             ref None
           in
+          let read = snd (object_read ctx tname) in
           let build env =
-            let rel = object_relation env.ctx tname in
+            let rel = object_relation env.ctx read.detail in
             let key_positions =
               List.map
                 (fun (inner_e, _) ->
@@ -871,17 +989,18 @@ and decorrelate ctx scopes q =
             tbl
           in
           Some
-            (fun env ->
-              let outer_ok =
-                List.for_all (fun f -> bool3 (f env) = Some true) fouter
-              in
-              if not outer_ok then []
-              else begin
-                let tbl = match !memo with Some t -> t | None -> build env in
-                let key = List.map (fun f -> f env) fkeys_outer in
-                if List.exists Value.is_null key then []
-                else Option.value (Hashtbl.find_opt tbl key) ~default:[]
-              end)
+            ( read,
+              fun env ->
+                let outer_ok =
+                  List.for_all (fun f -> bool3 (f env) = Some true) fouter
+                in
+                if not outer_ok then []
+                else begin
+                  let tbl = match !memo with Some t -> t | None -> build env in
+                  let key = List.map (fun f -> f env) fkeys_outer in
+                  if List.exists Value.is_null key then []
+                  else Option.value (Hashtbl.find_opt tbl key) ~default:[]
+                end )
         end
       end
     | _ -> None)
@@ -901,42 +1020,38 @@ and record_scan_once ctx k (tbl : Table.t) =
    Callers hold the batch for at most one statement, so a concurrent write
    (which bumps the epoch and re-extracts on next access) cannot be observed
    mid-plan any more than the row path's per-statement snapshot could. *)
-and table_batch ctx name (tbl : Table.t) =
-  record_scan_once ctx (Db.key name) tbl;
+and table_batch ctx k (tbl : Table.t) =
+  record_scan_once ctx k tbl;
   Batch.of_table tbl
 
-and object_relation ctx name : relation =
-  let k = Db.key name in
+(* The relation of the object whose catalog key (lowercase name) is [k]. *)
+and object_relation ctx k : relation =
   match Hashtbl.find_opt ctx.cache k with
   | Some rel -> rel
   | None ->
     let rel =
-      match Db.find_object ctx.db name with
+      match Db.find_key ctx.db k with
       | Some (Db.Obj_table tbl) ->
         record_scan_once ctx k tbl;
         let m = ctx.db.Db.metrics in
         let tr = Metrics.child_active m in
         let ts = if tr then Metrics.now_ns () else 0 in
+        let path = scan_path ctx.db in
         let rows =
-          if ctx.db.Db.batch_enabled then
-            (* ascending-rowid order off the shared columnar snapshot; the
-               row list is memoized on the batch, so repeated scans of an
-               unchanged table cost a hash lookup *)
-            Batch.rows_of (Batch.of_table tbl)
+          if path = "batch" then Batch.rows_of (Batch.of_table tbl)
           else Hashtbl.fold (fun _ row acc -> row :: acc) tbl.Table.rows []
         in
         let n = Table.cardinality tbl in
         if tr then
-          Metrics.record_child m ~kind:"scan" ~detail:k
-            ~path:(if ctx.db.Db.batch_enabled then "batch" else "row")
-            ~start_ns:ts ~ns:(Metrics.now_ns () - ts) ~rows_in:n ~rows:n;
+          Metrics.record_child m ~kind:"scan" ~detail:k ~path ~start_ns:ts
+            ~ns:(Metrics.now_ns () - ts) ~rows_in:n ~rows:n;
         {
           rel_cols = Schema.names tbl.Table.schema;
           rel_rows = rows;
           rel_count = n;
         }
       | Some (Db.Obj_view v) -> view_relation ctx k v
-      | None -> error "no such table or view %s" name
+      | None -> error "no such table or view %s" k
     in
     Hashtbl.replace ctx.cache k rel;
     rel
@@ -968,7 +1083,7 @@ and view_relation ctx k (v : Db.view) : relation =
     let d = m.Metrics.cur_view_depth + 1 in
     m.Metrics.cur_view_depth <- d;
     if d > m.Metrics.max_view_depth then m.Metrics.max_view_depth <- d;
-    let f = compile_query ctx [] v.Db.query in
+    let _, f = compile_query ctx [] v.Db.query in
     let rel = f { ctx; rows = []; params = no_params } in
     m.Metrics.cur_view_depth <- d - 1;
     { rel with rel_cols = v.Db.view_cols }
@@ -1065,14 +1180,16 @@ and compile_batch_where ctx scopes w =
 (* A FROM subtree the columnar pipeline can produce directly: a stored table,
    or a pushdown wrapper (a simple positional subquery-free select over one —
    the shape the pin-pushdown pre-passes and view pushdown emit). Returns the
-   scope entries (identical to {!compile_from}'s) and a producer of
-   (batch, selection vector). Views and joins decline: view reads flow
-   through {!object_relation} (their own bodies get batch treatment when
-   compiled — converting the evaluated relation here would bypass view
-   pushdown, which is worth far more than a columnar top-level), joins
-   through {!compile_from}. *)
+   scope entries (identical to {!compile_from}'s), the plan node and a
+   producer of (batch, selection vector). Views and joins decline: view
+   reads flow through {!object_relation} (their own bodies get batch
+   treatment when compiled — converting the evaluated relation here would
+   bypass view pushdown, which is worth far more than a columnar top-level),
+   joins through {!compile_from}. *)
 and batch_from ctx outer_scopes from :
-    ((string option * string) array * (env -> Batch.t * int array option))
+    ((string option * string) array
+    * plan
+    * (env -> Batch.t * int array option))
     option =
   if not (ctx.db.Db.batch_enabled && ctx.db.Db.optimizations) then None
   else
@@ -1080,10 +1197,13 @@ and batch_from ctx outer_scopes from :
     | From_table (name, alias) -> (
       match Db.find_object ctx.db name with
       | Some (Db.Obj_table tbl) ->
-        let cols = Schema.names tbl.Table.schema in
-        let a = match alias with Some a -> Some a | None -> Some name in
-        let entries = Array.of_list (List.map (fun c -> (a, c)) cols) in
-        Some (entries, fun env -> (table_batch env.ctx name tbl, None))
+        let node =
+          { kind = "scan"; detail = Db.key name; path = "batch"; inputs = [] }
+        in
+        Some
+          ( leaf_entries name alias (Schema.names tbl.Table.schema),
+            node,
+            fun env -> (table_batch env.ctx node.detail tbl, None) )
       | _ -> None)
     | From_select ({ body = Select s; order_by = []; limit = None }, alias)
       when s.group_by = [] && s.having = None && (not s.distinct)
@@ -1094,7 +1214,7 @@ and batch_from ctx outer_scopes from :
                    s.items) -> (
       match Option.bind s.from (batch_from ctx outer_scopes) with
       | None -> None
-      | Some (ientries, isrc) -> (
+      | Some (ientries, iplan, isrc) -> (
         let iscopes = { entries = ientries } :: outer_scopes in
         match positional_items ientries iscopes s.items with
         | None -> None
@@ -1112,14 +1232,12 @@ and batch_from ctx outer_scopes from :
               Array.of_list (List.map (fun c -> (Some alias, c)) names)
             in
             let identity =
-              Array.length positions = Array.length ientries
-              &&
-              let ok = ref true in
-              Array.iteri (fun j p -> if p <> j then ok := false) positions;
-              !ok
+              identity_positions positions (Array.length ientries)
             in
             Some
               ( entries,
+                { kind = "filter"; detail = alias; path = "batch";
+                  inputs = [ iplan ] },
                 fun env ->
                   let b, sel = isrc env in
                   let sel = fwhere env b sel in
@@ -1139,30 +1257,22 @@ and batch_from ctx outer_scopes from :
 
 (* --- FROM clause ---------------------------------------------------------- *)
 
-(* A compiled FROM produces the combined scope entries and, per outer env,
-   the list of concatenated rows. *)
+(* A compiled FROM produces the combined scope entries, its plan and, per
+   outer env, the list of concatenated rows. *)
 and compile_from ctx outer_scopes from :
-    (string option * string) array * (env -> Value.t array list) =
+    (string option * string) array * plan * (env -> Value.t array list) =
   match from with
   | From_table (name, alias) ->
-    let cols =
-      match Db.find_object ctx.db name with
-      | Some (Db.Obj_table tbl) -> Schema.names tbl.Table.schema
-      | Some (Db.Obj_view v) -> v.Db.view_cols
-      | None -> error "no such table or view %s" name
-    in
-    let a = match alias with Some a -> Some a | None -> Some name in
-    let entries = Array.of_list (List.map (fun c -> (a, c)) cols) in
-    (entries, fun env -> (object_relation env.ctx name).rel_rows)
-  | From_select (q, alias) ->
-    let fq = compile_query ctx outer_scopes q in
-    (* infer output columns from the query shape *)
-    let cols = query_columns ctx q in
-    let entries = Array.of_list (List.map (fun c -> (Some alias, c)) cols) in
-    (entries, fun env -> (fq env).rel_rows)
+    let cols, node = object_read ctx name in
+    ( leaf_entries name alias cols,
+      node,
+      fun env -> (object_relation env.ctx node.detail).rel_rows )
+  | From_select (q, _) ->
+    let p, fq = compile_query ctx outer_scopes q in
+    (from_entries ctx from, p, fun env -> (fq env).rel_rows)
   | From_join (left, kind, right, cond) ->
-    let lentries, lproduce = compile_from ctx outer_scopes left in
-    let rentries, rproduce = compile_from ctx outer_scopes right in
+    let lentries, lplan, lproduce = compile_from ctx outer_scopes left in
+    let rentries, rplan, rproduce = compile_from ctx outer_scopes right in
     let entries = Array.append lentries rentries in
     let joined = { entries } in
     let scopes = joined :: outer_scopes in
@@ -1192,13 +1302,14 @@ and compile_from ctx outer_scopes from :
           | e -> Right e)
         conj
     in
-    let fresidual =
-      List.map
-        (fun e ->
-          match compile_row_pred scopes e with
-          | Some p -> Either.Left p
-          | None -> Either.Right (compile_expr ctx scopes e))
-        residual
+    let fresidual, residual_plans =
+      collecting ctx (fun () ->
+          List.map
+            (fun e ->
+              match compile_row_pred scopes e with
+              | Some p -> Either.Left p
+              | None -> Either.Right (compile_expr ctx scopes e))
+            residual)
     in
     let combine lrow rrow =
       let out = Array.make (Array.length entries) Value.Null in
@@ -1265,6 +1376,27 @@ and compile_from ctx outer_scopes from :
       | _ -> fallback ()
     in
     let no_residual = fresidual = [] in
+    (* cons [lrow]'s output onto [acc], newest first: its pairing with each
+       key-matching right row the residual keeps or, on a left outer join
+       with none kept, the NULL-extended row. [rev_append] then the caller's
+       final [rev] preserves candidate order within the group. *)
+    let emit residual_ok acc lrow rrows =
+      match rrows with
+      | [ rrow ] when no_residual -> combine lrow rrow :: acc
+      | _ -> (
+        let combined =
+          if no_residual then List.map (combine lrow) rrows
+          else
+            List.filter_map
+              (fun rrow ->
+                let row = combine lrow rrow in
+                if residual_ok row then Some row else None)
+              rrows
+        in
+        match kind, combined with
+        | Left_outer, [] -> combine lrow null_right :: acc
+        | _ -> List.rev_append combined acc)
+    in
     (* batch hash join: both sides extractable as column batches and the
        single equi-join key is a plain column of each side — build and probe
        over the typed vectors, materializing rows only on emission. Bucket
@@ -1280,9 +1412,10 @@ and compile_from ctx outer_scopes from :
             batch_from ctx outer_scopes left,
             batch_from ctx outer_scopes right )
         with
-        | (0, lp), (0, rp), Some (_, lbsrc), Some (_, rbsrc) ->
+        | (0, lp), (0, rp), Some (_, lbplan, lbsrc), Some (_, rbplan, rbsrc) ->
           Some
-            (fun env ->
+            ( [ lbplan; rbplan ],
+              fun env ->
               let lb, lsel = lbsrc env in
               let rb, rsel = rbsrc env in
               let residual_ok = residual_pred env in
@@ -1329,41 +1462,22 @@ and compile_from ctx outer_scopes from :
                     if Value.is_null key then []
                     else Option.value (Hashtbl.find_opt h key) ~default:[]
               in
-              let acc =
-                Batch.fold_sel lb lsel
-                  (fun acc i ->
-                    match probe i with
-                    | [] -> (
-                      match kind with
-                      | Left_outer -> combine (Batch.row lb i) null_right :: acc
-                      | _ -> acc)
-                    | [ j ] when no_residual ->
-                      combine (Batch.row lb i) (Batch.row rb j) :: acc
-                    | js -> (
-                      let lrow = Batch.row lb i in
-                      let combined =
-                        if no_residual then
-                          List.map (fun j -> combine lrow (Batch.row rb j)) js
-                        else
-                          List.filter_map
-                            (fun j ->
-                              let row = combine lrow (Batch.row rb j) in
-                              if residual_ok row then Some row else None)
-                            js
-                      in
-                      match kind, combined with
-                      | Left_outer, [] -> combine lrow null_right :: acc
-                      | _ -> List.rev_append combined acc))
-                  []
-              in
-              List.rev acc)
+              List.rev
+                (Batch.fold_sel lb lsel
+                   (fun acc i ->
+                     match probe i, kind with
+                     | [], Inner -> acc
+                     | js, _ ->
+                       emit residual_ok acc (Batch.row lb i)
+                         (List.map (Batch.row rb) js))
+                   []) )
         | _ -> None
         | exception Exec_error _ -> None)
       | _ -> None
     in
-    let entries, produce =
+    let produce =
       match right_index_probe with
-    | Some (tbl, idx, lkey_expr) when keys <> [] ->
+    | Some (tbl, idx, lkey_expr) ->
       let flkey = key_reader lscopes lkey_expr in
       (* the index buckets by structural value equality, so with a single
          join key the probed candidates need no re-verification (matching
@@ -1376,176 +1490,106 @@ and compile_from ctx outer_scopes from :
             ( List.map (fun (a, _) -> key_reader lscopes a) keys,
               List.map (fun (_, b) -> key_reader rscopes b) keys )
       in
-      ( entries,
-        fun env ->
-          (* accumulator loop instead of [concat_map]: the common case of a
-             unique-key probe yields one candidate per left row, which conses
-             straight onto the accumulator with no per-row closure or
-             singleton list *)
-          let lrows = lproduce env in
-          let residual_ok = residual_pred env in
-          let acc =
-            List.fold_left
-              (fun acc lrow ->
-                let v = flkey lrow env in
-                let candidates =
-                  if Value.is_null v then [] else Table.index_probe tbl idx v
-                in
-                let candidates =
-                  match verify with
-                  | None -> candidates
-                  | Some (flkeys, frkeys) ->
-                    let lkeyvals = List.map (fun f -> f lrow env) flkeys in
-                    List.filter
-                      (fun rrow ->
-                        let rkeyvals = List.map (fun f -> f rrow env) frkeys in
-                        List.for_all2
-                          (fun a b ->
-                            (not (Value.is_null a))
-                            && (not (Value.is_null b))
-                            && Value.equal a b)
-                          lkeyvals rkeyvals)
-                      candidates
-                in
-                match candidates with
-                | [] -> (
-                  match kind with
-                  | Left_outer -> combine lrow null_right :: acc
-                  | _ -> acc)
-                | [ rrow ] when no_residual -> combine lrow rrow :: acc
-                | _ -> (
-                  let combined =
-                    if no_residual then List.map (combine lrow) candidates
-                    else
-                      List.filter_map
-                        (fun rrow ->
-                          let row = combine lrow rrow in
-                          if residual_ok row then Some row else None)
-                        candidates
-                  in
-                  match kind, combined with
-                  | Left_outer, [] -> combine lrow null_right :: acc
-                  | _ ->
-                    (* [rev_append] then the final [rev] preserves candidate
-                       order within the group *)
-                    List.rev_append combined acc))
-              [] lrows
-          in
-          List.rev acc )
-    | _ ->
-    (match batch_join with
-    | Some produce -> (entries, produce)
-    | None ->
-    (match keys with
+      fun env ->
+        (* accumulator loop instead of [concat_map]: the common case of a
+           unique-key probe yields one candidate per left row, which conses
+           straight onto the accumulator with no per-row closure *)
+        let lrows = lproduce env in
+        let residual_ok = residual_pred env in
+        List.rev
+          (List.fold_left
+             (fun acc lrow ->
+               let v = flkey lrow env in
+               let candidates =
+                 if Value.is_null v then [] else Table.index_probe tbl idx v
+               in
+               emit residual_ok acc lrow
+                 (match verify with
+                 | None -> candidates
+                 | Some (flkeys, frkeys) ->
+                   let lkeyvals = List.map (fun f -> f lrow env) flkeys in
+                   List.filter
+                     (fun rrow ->
+                       let rkeyvals = List.map (fun f -> f rrow env) frkeys in
+                       List.for_all2
+                         (fun a b ->
+                           (not (Value.is_null a))
+                           && (not (Value.is_null b))
+                           && Value.equal a b)
+                         lkeyvals rkeyvals)
+                     candidates))
+             [] lrows)
+    | None -> (
+    match batch_join with
+    | Some (_, produce) -> produce
+    | None -> (
+    match keys with
     | [ (la, rb) ] ->
       (* single-key hash join: the hash keys are the values themselves, and
          plain-column keys read by position *)
       let flkey = key_reader lscopes la and frkey = key_reader rscopes rb in
-      ( entries,
-        fun env ->
-          let lrows = lproduce env and rrows = rproduce env in
-          let residual_ok = residual_pred env in
-          let h : (Value.t, Value.t array list) Hashtbl.t =
-            Hashtbl.create (List.length rrows)
-          in
-          List.iter
-            (fun rrow ->
-              let key = frkey rrow env in
-              if not (Value.is_null key) then
-                Hashtbl.replace h key
-                  (rrow :: Option.value (Hashtbl.find_opt h key) ~default:[]))
-            rrows;
-          let acc =
-            List.fold_left
-              (fun acc lrow ->
-                let key = flkey lrow env in
-                let matches =
-                  if Value.is_null key then []
-                  else Option.value (Hashtbl.find_opt h key) ~default:[]
-                in
-                match matches with
-                | [] -> (
-                  match kind with
-                  | Left_outer -> combine lrow null_right :: acc
-                  | _ -> acc)
-                | [ rrow ] when no_residual -> combine lrow rrow :: acc
-                | _ -> (
-                  let combined =
-                    if no_residual then List.map (combine lrow) matches
-                    else
-                      List.filter_map
-                        (fun rrow ->
-                          let row = combine lrow rrow in
-                          if residual_ok row then Some row else None)
-                        matches
-                  in
-                  match kind, combined with
-                  | Left_outer, [] -> combine lrow null_right :: acc
-                  | _ -> List.rev_append combined acc))
-              [] lrows
-          in
-          List.rev acc )
+      fun env ->
+        let lrows = lproduce env and rrows = rproduce env in
+        let residual_ok = residual_pred env in
+        let h : (Value.t, Value.t array list) Hashtbl.t =
+          Hashtbl.create (List.length rrows)
+        in
+        List.iter
+          (fun rrow ->
+            let key = frkey rrow env in
+            if not (Value.is_null key) then
+              Hashtbl.replace h key
+                (rrow :: Option.value (Hashtbl.find_opt h key) ~default:[]))
+          rrows;
+        List.rev
+          (List.fold_left
+             (fun acc lrow ->
+               let key = flkey lrow env in
+               emit residual_ok acc lrow
+                 (if Value.is_null key then []
+                  else Option.value (Hashtbl.find_opt h key) ~default:[]))
+             [] lrows)
     | _ :: _ ->
       let flkeys = List.map (fun (a, _) -> compile_expr ctx lscopes a) keys in
       let frkeys = List.map (fun (_, b) -> compile_expr ctx rscopes b) keys in
-      ( entries,
-        fun env ->
-          let lrows = lproduce env and rrows = rproduce env in
-          let residual_ok = residual_pred env in
-          let h = Hashtbl.create (List.length rrows) in
-          List.iter
-            (fun rrow ->
-              let renv = { env with rows = rrow :: env.rows } in
-              let key = List.map (fun f -> f renv) frkeys in
-              if not (List.exists Value.is_null key) then
-                Hashtbl.replace h key
-                  (rrow :: (Option.value (Hashtbl.find_opt h key) ~default:[])))
-            rrows;
-          List.concat_map
-            (fun lrow ->
-              let lenv = { env with rows = lrow :: env.rows } in
-              let key = List.map (fun f -> f lenv) flkeys in
-              let matches =
-                if List.exists Value.is_null key then []
-                else Option.value (Hashtbl.find_opt h key) ~default:[]
-              in
-              let combined =
-                List.filter_map
-                  (fun rrow ->
-                    let row = combine lrow rrow in
-                    if residual_ok row then Some row else None)
-                  matches
-              in
-              match kind, combined with
-              | Left_outer, [] -> [ combine lrow null_right ]
-              | _ -> combined)
-            lrows )
+      fun env ->
+        let lrows = lproduce env and rrows = rproduce env in
+        let residual_ok = residual_pred env in
+        let h = Hashtbl.create (List.length rrows) in
+        List.iter
+          (fun rrow ->
+            let renv = { env with rows = rrow :: env.rows } in
+            let key = List.map (fun f -> f renv) frkeys in
+            if not (List.exists Value.is_null key) then
+              Hashtbl.replace h key
+                (rrow :: (Option.value (Hashtbl.find_opt h key) ~default:[])))
+          rrows;
+        List.rev
+          (List.fold_left
+             (fun acc lrow ->
+               let lenv = { env with rows = lrow :: env.rows } in
+               let key = List.map (fun f -> f lenv) flkeys in
+               emit residual_ok acc lrow
+                 (if List.exists Value.is_null key then []
+                  else Option.value (Hashtbl.find_opt h key) ~default:[]))
+             [] lrows)
     | [] ->
-      ( entries,
-        fun env ->
-          let lrows = lproduce env and rrows = rproduce env in
-          let residual_ok = residual_pred env in
-          List.concat_map
-            (fun lrow ->
-              let combined =
-                List.filter_map
-                  (fun rrow ->
-                    let row = combine lrow rrow in
-                    if residual_ok row then Some row else None)
-                  rrows
-              in
-              match kind, combined with
-              | Left_outer, [] -> [ combine lrow null_right ]
-              | _ -> combined)
-            lrows )))
+      fun env ->
+        let lrows = lproduce env and rrows = rproduce env in
+        let residual_ok = residual_pred env in
+        List.rev
+          (List.fold_left
+             (fun acc lrow -> emit residual_ok acc lrow rrows)
+             [] lrows)))
     in
-    (* one span per evaluation; the strategy label is decided at compile
-       time, mirroring [access_paths] *)
-    let jpath =
-      if right_index_probe <> None && keys <> [] then "index"
-      else if batch_join <> None then "batch"
-      else if keys <> [] then "hash"
-      else "loop"
+    (* one span per evaluation, labelled with the strategy chosen above;
+       an index-probed right side is read through its index, and a batch
+       join reads both sides off their columnar sources *)
+    let jpath, jinputs =
+      match right_index_probe, batch_join with
+      | Some _, _ -> ("index", [ lplan; { rplan with path = "index" } ])
+      | _, Some (bplans, _) -> ("batch", bplans)
+      | _ -> ((if keys <> [] then "hash" else "loop"), [ lplan; rplan ])
     in
     let jdetail =
       let rec leaf = function
@@ -1555,25 +1599,38 @@ and compile_from ctx outer_scopes from :
       in
       leaf left ^ "*" ^ leaf right
     in
+    let node =
+      { kind = "join"; detail = jdetail; path = jpath;
+        inputs = jinputs @ residual_plans }
+    in
     let m = ctx.db.Db.metrics in
     ( entries,
+      node,
       fun env ->
         if Metrics.child_active m then (
           let fr = Metrics.open_span m in
           let rows = produce env in
           let n = if m.Metrics.detail then List.length rows else -1 in
-          Metrics.close_span m fr ~kind:"join" ~detail:jdetail ~path:jpath
-            ~rows_in:(-1) ~rows:n;
+          Metrics.close_span m fr ~kind:node.kind ~detail:node.detail
+            ~path:node.path ~rows_in:(-1) ~rows:n;
           rows)
         else produce env )
 
 (* --- output column naming ------------------------------------------------- *)
 
+(* The scope entries of a FROM subtree — the columns {!compile_from}'s rows
+   carry — without compiling it. *)
+and from_entries ctx = function
+  | From_table (name, alias) ->
+    leaf_entries name alias (object_columns ctx name)
+  | From_select (q, alias) ->
+    Array.of_list (List.map (fun c -> (Some alias, c)) (query_columns ctx q))
+  | From_join (l, _, r, _) ->
+    Array.append (from_entries ctx l) (from_entries ctx r)
+
 and select_columns ctx sel =
   let from_entries () =
-    match sel.from with
-    | None -> [||]
-    | Some f -> fst (compile_from ctx [] f)
+    match sel.from with None -> [||] | Some f -> from_entries ctx f
   in
   List.concat_map
     (function
@@ -1601,90 +1658,46 @@ and query_columns ctx q =
 
 (* --- SELECT ---------------------------------------------------------------- *)
 
-and compile_select ctx outer_scopes sel : env -> relation =
+and compile_select ctx outer_scopes sel : plan * (env -> relation) =
   (* pre-pass: an equality conjunct pinning an alias-qualified column to a
-     column-free expression is pushed onto that join side (wrapped as a
-     filtered subselect); for inner joins the reduced side moves left so a
-     stored right side stays probeable by its index. The original WHERE is
-     kept, so this is purely an evaluation-order rewrite. *)
+     column-free expression is pushed onto that join side ({!pin_side}). The
+     original WHERE is kept, so this is purely an evaluation-order rewrite. *)
   let sel =
     match sel.from with
     | Some (From_join _ as f0) when ctx.db.Db.optimizations ->
-      let rec column_free = function
-        | Col _ -> false
-        | Const _ | Param _ -> true
-        | Unop (_, a) | Is_null (a, _) -> column_free a
-        | Binop (_, a, b) -> column_free a && column_free b
-        | Fun (_, args) -> List.for_all column_free args
-        | Case (arms, d) ->
-          List.for_all (fun (c, v) -> column_free c && column_free v) arms
-          && (match d with Some x -> column_free x | None -> true)
-        | In_list (a, items, _) ->
-          column_free a && List.for_all column_free items
-        | Exists _ | In_query _ | Scalar _ -> false
-      in
-      let wrap_one from (alias, icol, key_expr) =
-        let la = String.lowercase_ascii alias in
-        let rec go f =
-          match f with
-          | From_table (name, Some a) when String.lowercase_ascii a = la ->
-            Some
-              (From_select
-                 ( select_query
-                     (simple_select
-                        ~from:(From_table (name, Some a))
-                        ~where:(Binop (Eq, Col (None, icol), key_expr))
-                        [ Star ]),
-                   a ))
-          | From_table _ | From_select _ -> None
-          | From_join (l, k, r, c) -> (
-            match go l with
-            | Some l' -> Some (From_join (l', k, r, c))
-            | None -> (
-              match go r with
-              | Some r' when k = Inner -> Some (From_join (r', k, l, c))
-              | Some r' -> Some (From_join (l, k, r', c))
-              | None -> None))
-        in
-        Option.value (go from) ~default:from
-      in
-      let pin_of c =
-        match c with
-        | Binop (Eq, Col (Some a, n), e) when column_free e -> Some (a, n, e)
-        | Binop (Eq, e, Col (Some a, n)) when column_free e -> Some (a, n, e)
-        | _ -> None
+      let qualified_pins cond =
+        List.filter_map
+          (fun c ->
+            match pin_of c with
+            | Some (Some a, n, e) -> Some (a, n, e)
+            | _ -> None)
+          (conjuncts cond)
       in
       let where_pins =
-        match sel.where with
-        | Some w -> List.filter_map pin_of (conjuncts w)
-        | None -> []
+        match sel.where with Some w -> qualified_pins w | None -> []
       in
       (* constant pins written in ON conditions push down too: for an
          all-inner join tree ON and WHERE filtering coincide, so the wrap is
          the same evaluation-order rewrite. Outer joins give ON conditions
          different semantics (they gate null-extension, not row survival), so
          any outer join in the tree disables this source of pins. *)
-      let rec all_inner = function
-        | From_join (l, Inner, r, _) -> all_inner l && all_inner r
-        | From_join _ -> false
-        | From_table _ | From_select _ -> true
-      in
       let on_pins =
         if not (all_inner f0) then []
         else
           let rec collect = function
             | From_table _ | From_select _ -> []
             | From_join (l, _, r, c) ->
-              (match c with
-              | None -> []
-              | Some c -> List.filter_map pin_of (conjuncts c))
+              (match c with None -> [] | Some c -> qualified_pins c)
               @ collect l @ collect r
           in
           collect f0
       in
+      let wrap from (alias, icol, key) =
+        Option.value (pin_side alias icol key from) ~default:from
+      in
       (match where_pins @ on_pins with
       | [] -> sel
-      | pins -> { sel with from = Some (List.fold_left wrap_one f0 pins) })
+      | pins -> { sel with from = Some (List.fold_left wrap f0 pins) })
     | _ -> sel
   in
   (* second pre-pass: lift subquery-free equality conjuncts of the WHERE
@@ -1698,31 +1711,8 @@ and compile_select ctx outer_scopes sel : env -> relation =
   let sel =
     match sel.from, sel.where with
     | Some (From_join _ as f0), Some w when ctx.db.Db.optimizations ->
-      let rec all_inner = function
-        | From_join (l, Inner, r, _) -> all_inner l && all_inner r
-        | From_join _ -> false
-        | From_table _ | From_select _ -> true
-      in
       if not (all_inner f0) then sel
       else begin
-        (* scope entries of a FROM subtree, mirroring compile_from's leaves *)
-        let rec entries_of f =
-          match f with
-          | From_table (name, alias) ->
-            let cols =
-              match Db.find_object ctx.db name with
-              | Some (Db.Obj_table tbl) -> Schema.names tbl.Table.schema
-              | Some (Db.Obj_view v) -> v.Db.view_cols
-              | None -> error "no such table or view %s" name
-            in
-            let a = match alias with Some a -> Some a | None -> Some name in
-            Array.of_list (List.map (fun c -> (a, c)) cols)
-          | From_select (q, alias) ->
-            Array.of_list
-              (List.map (fun c -> (Some alias, c)) (query_columns ctx q))
-          | From_join (l, _, r, _) ->
-            Array.append (entries_of l) (entries_of r)
-        in
         (* AND [e] into the deepest join node whose sides it straddles; a
            conjunct resolving on one side only descends there (name
            resolution is preserved: the other side has no match, so first-
@@ -1732,8 +1722,8 @@ and compile_select ctx outer_scopes sel : env -> relation =
             match f with
             | From_table _ | From_select _ -> None
             | From_join (l, k, r, c) ->
-              let lsc = { entries = entries_of l } :: outer_scopes in
-              let rsc = { entries = entries_of r } :: outer_scopes in
+              let lsc = { entries = from_entries ctx l } :: outer_scopes in
+              let rsc = { entries = from_entries ctx r } :: outer_scopes in
               let in_l = references_depth lsc 0 e in
               let in_r = references_depth rsc 0 e in
               if in_l && in_r then
@@ -1767,10 +1757,12 @@ and compile_select ctx outer_scopes sel : env -> relation =
       end
     | _ -> sel
   in
-  let entries, produce =
+  let entries, from_plans, produce =
     match sel.from with
-    | None -> ([||], fun _ -> [ [||] ])
-    | Some f -> compile_from ctx outer_scopes f
+    | None -> ([||], [], fun _ -> [ [||] ])
+    | Some f ->
+      let entries, p, produce = compile_from ctx outer_scopes f in
+      (entries, [ p ], produce)
   in
   let scope = { entries } in
   let scopes = scope :: outer_scopes in
@@ -1782,10 +1774,10 @@ and compile_select ctx outer_scopes sel : env -> relation =
     || match sel.having with Some h -> has_aggregate h | None -> false
   in
   let cols = select_columns ctx sel in
-  (* plan choice: index equality probe, then view pushdown, then the
+  (* plan choice: view pushdown, then the index equality probe, then the
      columnar batch pipeline, then plain row-at-a-time interpretation *)
-  let ifp = index_fast_path ctx sel scope scopes in
   let vpd = view_pushdown ctx sel in
+  let ifp = index_fast_path ctx sel scope scopes in
   (* batch pipeline: FROM is batch-producible and the whole WHERE compiles
      to selection-vector conjuncts — then filtering runs typed over the
      columnar snapshot and the WHERE is consumed here *)
@@ -1794,29 +1786,38 @@ and compile_select ctx outer_scopes sel : env -> relation =
     | None, None, Some f -> (
       match batch_from ctx outer_scopes f with
       | None -> None
-      | Some (_, bsrc) -> (
+      | Some (_, bplan, bsrc) -> (
         match sel.where with
-        | None -> Some bsrc
+        | None -> Some (bplan, bsrc)
         | Some w -> (
           match compile_batch_where ctx scopes w with
           | None -> None
           | Some fw ->
             Some
-              (fun env ->
-                let b, s = bsrc env in
-                (b, fw env b s)))))
+              ( bplan,
+                fun env ->
+                  let b, s = bsrc env in
+                  (b, fw env b s) ))))
     | _ -> None
   in
-  let produce =
+  let path, source, produce =
     match vpd, ifp, batch_pipe with
-    | Some p, _, _ -> p
-    | None, Some p, _ -> p
-    | None, None, Some bp ->
-      fun env ->
-        let b, s = bp env in
-        Batch.rows_for_sel b s
-    | None, None, None -> produce
+    | Some (p, produce), _, _ -> ("pushdown", [ p ], produce)
+    | None, Some (p, produce), _ -> ("index", [ p ], produce)
+    | None, None, Some (p, bp) ->
+      ( "batch",
+        [ p ],
+        fun env ->
+          let b, s = bp env in
+          Batch.rows_for_sel b s )
+    | None, None, None -> ("row", from_plans, produce)
   in
+  (* the WHERE, the items and GROUP BY compile their expression subqueries
+     here, and those run under this select's span: collect their plans (by
+     hand rather than through [collecting], which would allocate a closure
+     on every compile of a point read) *)
+  let saved = ctx.subplans in
+  ctx.subplans <- [];
   (* cheap-first WHERE: subquery-free conjuncts run before conjuncts with
      subqueries, so EXISTS probes only see rows that survive the plain
      predicates. AND's three-valued truth table is symmetric, so this is a
@@ -1858,18 +1859,13 @@ and compile_select ctx outer_scopes sel : env -> relation =
          nothing per row. Rows are immutable by convention, so sharing is
          safe. *)
       match direct_positions with
-      | Some ps ->
-        Array.length ps = Array.length entries
-        &&
-        let ok = ref true in
-        Array.iteri (fun j p -> if p <> j then ok := false) ps;
-        !ok
+      | Some ps -> identity_positions ps (Array.length entries)
       | None -> false
     in
     match direct_positions with
     | Some _ when identity_projection -> (
       match batch_pipe with
-      | Some bp ->
+      | Some (_, bp) ->
         (* identity off the batch: the memoized row list when unfiltered,
            materialized survivors otherwise; exact counts either way *)
         fun env ->
@@ -1891,7 +1887,7 @@ and compile_select ctx outer_scopes sel : env -> relation =
     | Some positions when Option.is_some batch_pipe ->
       (* fused batch projection: gather only the projected columns of the
          surviving rows, straight off the column vectors *)
-      let bp = Option.get batch_pipe in
+      let _, bp = Option.get batch_pipe in
       let n = Array.length positions in
       let project_from b i : Value.t array =
         match positions with
@@ -2011,26 +2007,27 @@ and compile_select ctx outer_scopes sel : env -> relation =
     end
     else compile_aggregate ctx scopes sel cols produce filter
   in
+  let subplans = List.rev ctx.subplans in
+  ctx.subplans <- saved;
+  let node =
+    { kind = "select"; detail = ""; path; inputs = source @ subplans }
+  in
   (* profile mode records one [select] node per plan with its exact output
      cardinality; off the hot path otherwise *)
-  let plan_label =
-    if Option.is_some vpd then "pushdown"
-    else if Option.is_some ifp then "index"
-    else if Option.is_some batch_pipe then "batch"
-    else "row"
-  in
   let m = ctx.db.Db.metrics in
-  fun env ->
-    if m.Metrics.detail && Metrics.child_active m then (
-      let fr = Metrics.open_span m in
-      let rel = eval env in
-      let rows =
-        if rel.rel_count >= 0 then rel.rel_count else List.length rel.rel_rows
-      in
-      Metrics.close_span m fr ~kind:"select" ~detail:"" ~path:plan_label
-        ~rows_in:(-1) ~rows;
-      rel)
-    else eval env
+  ( node,
+    fun env ->
+      if m.Metrics.detail && Metrics.child_active m then (
+        let fr = Metrics.open_span m in
+        let rel = eval env in
+        let rows =
+          if rel.rel_count >= 0 then rel.rel_count
+          else List.length rel.rel_rows
+        in
+        Metrics.close_span m fr ~kind:node.kind ~detail:node.detail
+          ~path:node.path ~rows_in:(-1) ~rows;
+        rel)
+      else eval env )
 
 and dedupe rows =
   (* rows are immutable by convention; the generic hash/equality on arrays is
@@ -2081,22 +2078,26 @@ and index_fast_path ctx sel scope scopes =
       | None -> None
       | Some (idx, key_expr) ->
         let fkey = compile_expr ctx (List.tl scopes) key_expr in
+        let node =
+          { kind = "scan"; detail = Db.key tname; path = "index"; inputs = [] }
+        in
         let m = ctx.db.Db.metrics in
         Some
-          (fun env ->
-            if Metrics.child_active m then (
-              let t0 = Metrics.now_ns () in
-              let v = fkey env in
-              let rows =
-                if Value.is_null v then [] else Table.index_probe tbl idx v
-              in
-              Metrics.record_child m ~kind:"scan" ~detail:(Db.key tname)
-                ~path:"index" ~start_ns:t0 ~ns:(Metrics.now_ns () - t0)
-                ~rows_in:(Table.cardinality tbl) ~rows:(List.length rows);
-              rows)
-            else
-              let v = fkey env in
-              if Value.is_null v then [] else Table.index_probe tbl idx v)))
+          ( node,
+            fun env ->
+              if Metrics.child_active m then (
+                let t0 = Metrics.now_ns () in
+                let v = fkey env in
+                let rows =
+                  if Value.is_null v then [] else Table.index_probe tbl idx v
+                in
+                Metrics.record_child m ~kind:node.kind ~detail:node.detail
+                  ~path:node.path ~start_ns:t0 ~ns:(Metrics.now_ns () - t0)
+                  ~rows_in:(Table.cardinality tbl) ~rows:(List.length rows);
+                rows)
+              else
+                let v = fkey env in
+                if Value.is_null v then [] else Table.index_probe tbl idx v )))
   | _ -> None
 
 (* Key-filter pushdown into views: a select over a single *view* whose WHERE
@@ -2114,30 +2115,9 @@ and view_pushdown ctx sel =
     match Db.find_view_opt ctx.db vname with
     | None -> None
     | Some view -> (
-      let rec column_free = function
-        | Col _ -> false
-        | Const _ | Param _ -> true
-        | Unop (_, a) | Is_null (a, _) -> column_free a
-        | Binop (_, a, b) -> column_free a && column_free b
-        | Fun (_, args) -> List.for_all column_free args
-        | Case (arms, d) ->
-          List.for_all (fun (c, v) -> column_free c && column_free v) arms
-          && (match d with Some x -> column_free x | None -> true)
-        | In_list (a, items, _) -> column_free a && List.for_all column_free items
-        | Exists _ | In_query _ | Scalar _ -> false
-      in
-      let pinned =
-        List.find_map
-          (fun c ->
-            match c with
-            | Binop (Eq, Col (_, n), e) when column_free e -> Some (n, e)
-            | Binop (Eq, e, Col (_, n)) when column_free e -> Some (n, e)
-            | _ -> None)
-          (conjuncts w)
-      in
-      match pinned with
+      match List.find_map pin_of (conjuncts w) with
       | None -> None
-      | Some (col, key_expr) -> (
+      | Some (_, col, key_expr) -> (
         let lcol = String.lowercase_ascii col in
         match
           List.find_index
@@ -2156,15 +2136,10 @@ and view_pushdown ctx sel =
                     (function
                       | Star -> (
                         match s.from with
-                        | Some (From_table (base, _)) -> (
-                          match Db.find_object ctx.db base with
-                          | Some (Db.Obj_table t) ->
-                            List.map
-                              (fun c -> Col (None, c))
-                              (Schema.names t.Table.schema)
-                          | Some (Db.Obj_view v) ->
-                            List.map (fun c -> Col (None, c)) v.Db.view_cols
-                          | None -> [])
+                        | Some (From_table (base, _)) ->
+                          List.map
+                            (fun c -> Col (None, c))
+                            (object_columns ctx base)
                         | _ -> [])
                       | Qualified_star _ -> []
                       | Sel_expr (e, _) -> [ e ])
@@ -2183,39 +2158,11 @@ and view_pushdown ctx sel =
                     }
                   in
                   (* additionally wrap the join side the pinned column comes
-                     from, so the filter reduces that side before the join;
-                     for inner joins the reduced side moves left so a stored
-                     right side stays probeable by index *)
+                     from, so the filter reduces that side before the join *)
                   let s =
                     match item, s.from with
-                    | Col (Some alias, icol), Some f ->
-                      let la = String.lowercase_ascii alias in
-                      let wrap_atom name a =
-                        From_select
-                          ( select_query
-                              (simple_select
-                                 ~from:(From_table (name, Some a))
-                                 ~where:(Binop (Eq, Col (None, icol), key_expr))
-                                 [ Star ]),
-                            a )
-                      in
-                      let rec go f =
-                        match f with
-                        | From_table (name, Some a)
-                          when String.lowercase_ascii a = la ->
-                          Some (wrap_atom name a)
-                        | From_table _ | From_select _ -> None
-                        | From_join (l, k, r, c) -> (
-                          match go l with
-                          | Some l' -> Some (From_join (l', k, r, c))
-                          | None -> (
-                            match go r with
-                            | Some r' when k = Inner ->
-                              Some (From_join (r', k, l, c))
-                            | Some r' -> Some (From_join (l, k, r', c))
-                            | None -> None))
-                      in
-                      (match go f with
+                    | Col (Some alias, icol), Some f -> (
+                      match pin_side alias icol key_expr f with
                       | Some f' -> { s with from = Some f' }
                       | None -> s)
                     | _ -> s
@@ -2238,20 +2185,25 @@ and view_pushdown ctx sel =
             match rewrite_set_op q.body with
             | None -> None
             | Some body ->
-              let fq =
+              let p, fq =
                 compile_query ctx [] { body; order_by = []; limit = None }
+              in
+              let node =
+                { kind = "view"; detail = Db.key vname; path = "pushdown";
+                  inputs = [ p ] }
               in
               let m = ctx.db.Db.metrics in
               Some
-                (fun (env : env) ->
-                  if Metrics.child_active m then (
-                    let fr = Metrics.open_span m in
-                    let rows = (fq { env with rows = [] }).rel_rows in
-                    Metrics.close_span m fr ~kind:"view" ~detail:(Db.key vname)
-                      ~path:"pushdown" ~rows_in:(-1)
-                      ~rows:(List.length rows);
-                    rows)
-                  else (fq { env with rows = [] }).rel_rows)))))
+                ( node,
+                  fun (env : env) ->
+                    if Metrics.child_active m then (
+                      let fr = Metrics.open_span m in
+                      let rows = (fq { env with rows = [] }).rel_rows in
+                      Metrics.close_span m fr ~kind:node.kind
+                        ~detail:node.detail ~path:node.path ~rows_in:(-1)
+                        ~rows:(List.length rows);
+                      rows)
+                    else (fq { env with rows = [] }).rel_rows )))))
 
 and compile_aggregate ctx scopes sel cols produce filter =
   let group_fns = List.map (compile_expr ctx scopes) sel.group_by in
@@ -2375,12 +2327,15 @@ and compile_aggregate ctx scopes sel cols produce filter =
 
 (* --- queries ---------------------------------------------------------------- *)
 
-and compile_query ctx outer_scopes q : env -> relation =
+and compile_query ctx outer_scopes q : plan * (env -> relation) =
   let rec of_set_op = function
     | Select sel -> compile_select ctx outer_scopes sel
     | Union (a, b, all) ->
-      let fa = of_set_op a and fb = of_set_op b in
-      fun env ->
+      let pa, fa = of_set_op a in
+      let pb, fb = of_set_op b in
+      ( { kind = "union"; detail = (if all then "all" else ""); path = "";
+          inputs = [ pa; pb ] },
+        fun env ->
         let ra = fa env and rb = fb env in
         let rows = ra.rel_rows @ rb.rel_rows in
         if all then
@@ -2392,18 +2347,25 @@ and compile_query ctx outer_scopes q : env -> relation =
           { rel_cols = ra.rel_cols; rel_rows = rows; rel_count = n }
         else
           let rows, n = dedupe rows in
-          { rel_cols = ra.rel_cols; rel_rows = rows; rel_count = n }
+          { rel_cols = ra.rel_cols; rel_rows = rows; rel_count = n } )
   in
-  let fbody = of_set_op q.body in
+  let body, fbody = of_set_op q.body in
   let cols = query_columns ctx q in
-  let forder =
-    List.map
-      (fun { key; descending } ->
-        let scope = scope_of_cols cols in
-        (compile_expr ctx (scope :: outer_scopes) key, descending))
-      q.order_by
+  let forder, order_plans =
+    if q.order_by = [] then ([], [])
+    else
+      collecting ctx (fun () ->
+          List.map
+            (fun { key; descending } ->
+              let scope = scope_of_cols cols in
+              (compile_expr ctx (scope :: outer_scopes) key, descending))
+            q.order_by)
   in
-  fun env ->
+  (* ORDER BY keys evaluate after the body, beside it *)
+  ( (if order_plans = [] then body
+     else
+       { kind = "order"; detail = ""; path = ""; inputs = body :: order_plans }),
+    fun env ->
     let rel = fbody env in
     let rows =
       if forder = [] then rel.rel_rows
@@ -2442,7 +2404,7 @@ and compile_query ctx outer_scopes q : env -> relation =
           x :: take (k - 1) rest
       in
       let rows = take n rows in
-      { rel_cols = rel.rel_cols; rel_rows = rows; rel_count = !taken }
+      { rel_cols = rel.rel_cols; rel_rows = rows; rel_count = !taken } )
 
 (* --- statements --------------------------------------------------------------- *)
 
@@ -2476,147 +2438,29 @@ let query_targets q =
   walk_query q;
   List.rev !acc
 
-(** Static access-path report for EXPLAIN: for every FROM operand of every
-    SELECT in [q], the executor layer that would serve it — ["index"]
-    (equality-probe fast path), ["pushdown"] (view-cache pushdown),
-    ["batch"] (columnar selection-vector pipeline) or ["row"] (row-at-a-time
-    interpretation). Mirrors the plan choice of {!compile_select} and
-    {!compile_from} without evaluating anything; labels are per leaf, in
-    FROM order, modulo the join pin-pushdown pre-pass (a WHERE-driven
-    evaluation-order rewrite that can additionally batch-wrap join sides at
-    run time). *)
-let access_paths db (q : query) : (string * string) list =
+(** The plan {!eval_query} compiles for [q], without running it, under a
+    [query] root. View leaves are expanded through the same [compile_query]
+    call {!view_relation} makes when it evaluates them — once per view, as
+    the statement snapshot serves any repeated read. Raises [Exec_error]
+    when [q], or a view body it reads, does not compile. *)
+let plan db q =
   let ctx = fresh_ctx db in
-  let acc = ref [] in
-  let label_of = function
-    | `Index -> "index"
-    | `Pushdown -> "pushdown"
-    | `Batch -> "batch"
-    | `Row -> "row"
+  let expanded = Hashtbl.create 8 in
+  let compiled q =
+    let (body, _), subs = collecting ctx (fun () -> compile_query ctx [] q) in
+    body :: subs
   in
-  let batchable outer_scopes f =
-    match batch_from ctx outer_scopes f with
-    | Some _ -> true
-    | None | (exception Exec_error _) -> false
+  let rec expand p =
+    let inputs =
+      match p.kind, p.path, Db.find_view_opt db p.detail with
+      | "view", "computed", Some v when not (Hashtbl.mem expanded p.detail) ->
+        Hashtbl.replace expanded p.detail ();
+        compiled v.Db.query
+      | _ -> p.inputs
+    in
+    { p with inputs = List.map expand inputs }
   in
-  let visited_views = Hashtbl.create 8 in
-  let rec leaf outer_scopes plan f =
-    match f with
-    | From_table (name, _) ->
-      acc := (Db.key name, label_of plan) :: !acc;
-      (* a view read row-at-a-time expands its body: report what serves the
-         body's own FROM leaves (the interesting part of delta code) *)
-      if plan = `Row then (
-        match Db.find_object db name with
-        | Some (Db.Obj_view v) when not (Hashtbl.mem visited_views (Db.key name))
-          ->
-          Hashtbl.replace visited_views (Db.key name) ();
-          walk_query outer_scopes v.Db.query
-        | _ -> ())
-    | From_select (sub, alias) ->
-      if plan = `Batch then
-        (* the wrapper itself compiled into the batch pipeline *)
-        acc := (alias, "batch") :: !acc
-      else begin
-        acc := (alias, label_of plan) :: !acc;
-        walk_query outer_scopes sub
-      end
-    | From_join (l, kind, r, cond) -> join outer_scopes l kind r cond
-  and join outer_scopes l _kind r cond =
-    match
-      (compile_from ctx outer_scopes l, compile_from ctx outer_scopes r)
-    with
-    | exception Exec_error _ ->
-      leaf outer_scopes `Row l;
-      leaf outer_scopes `Row r
-    | (lentries, _), (rentries, _) ->
-      let lscopes = { entries = lentries } :: outer_scopes in
-      let rscopes = { entries = rentries } :: outer_scopes in
-      let refs_left e = references_depth lscopes 0 e in
-      let refs_right e = references_depth rscopes 0 e in
-      let conj = match cond with None -> [] | Some c -> conjuncts c in
-      let keys =
-        List.filter_map
-          (fun e ->
-            match e with
-            | Binop (Eq, a, b)
-              when refs_left a && (not (refs_right a)) && refs_right b
-                   && not (refs_left b) ->
-              Some (a, b)
-            | Binop (Eq, a, b)
-              when refs_left b && (not (refs_right b)) && refs_right a
-                   && not (refs_left a) ->
-              Some (b, a)
-            | _ -> None)
-          conj
-      in
-      let right_indexed =
-        ctx.db.Db.optimizations && keys <> []
-        &&
-        match r with
-        | From_table (rname, _) -> (
-          match Db.find_table_opt ctx.db rname with
-          | None -> false
-          | Some tbl ->
-            List.exists
-              (fun (_, rexpr) ->
-                match rexpr with
-                | Col (qn, n) -> (
-                  match resolve_column rscopes qn n with
-                  | 0, pos ->
-                    Option.is_some
-                      (Table.indexed_column tbl (snd rentries.(pos)))
-                  | _ -> false
-                  | exception Exec_error _ -> false)
-                | _ -> false)
-              keys)
-        | _ -> false
-      in
-      if right_indexed then begin
-        leaf outer_scopes `Row l;
-        leaf outer_scopes `Index r
-      end
-      else
-        let batch_joined =
-          match keys with
-          | [ (Col _, Col _) ] ->
-            batchable outer_scopes l && batchable outer_scopes r
-          | _ -> false
-        in
-        let side = if batch_joined then `Batch else `Row in
-        leaf outer_scopes side l;
-        leaf outer_scopes side r
-  and go_select outer_scopes sel =
-    match sel.from with
-    | None -> ()
-    | Some (From_join _ as f) -> leaf outer_scopes `Row f
-    | Some f ->
-      let plan =
-        try
-          let entries, _ = compile_from ctx outer_scopes f in
-          let scope = { entries } in
-          let scopes = scope :: outer_scopes in
-          if Option.is_some (view_pushdown ctx sel) then `Pushdown
-          else if Option.is_some (index_fast_path ctx sel scope scopes) then
-            `Index
-          else if not (batchable outer_scopes f) then `Row
-          else
-            match sel.where with
-            | None -> `Batch
-            | Some w ->
-              if Option.is_some (compile_batch_where ctx scopes w) then `Batch
-              else `Row
-        with Exec_error _ -> `Row
-      in
-      leaf outer_scopes plan f
-  and walk_set_op outer_scopes = function
-    | Select s -> go_select outer_scopes s
-    | Union (a, b, _) ->
-      walk_set_op outer_scopes a;
-      walk_set_op outer_scopes b
-  and walk_query outer_scopes (q : query) = walk_set_op outer_scopes q.body in
-  (try walk_query [] q with Exec_error _ -> ());
-  List.rev !acc
+  expand { kind = "query"; detail = ""; path = ""; inputs = compiled q }
 
 let span_shape stmt =
   match stmt with
@@ -2676,7 +2520,7 @@ let view_columns ctx (q : query) explicit =
 
 let eval_query db ?(params = no_params) q =
   let ctx = fresh_ctx db in
-  let f = compile_query ctx [] q in
+  let _, f = compile_query ctx [] q in
   f { ctx; rows = []; params }
 
 let rec exec_statement db ?(params = no_params) stmt : result =
@@ -2788,12 +2632,12 @@ and relation_of_query db params q =
   let m = db.Db.metrics in
   if db.Db.trigger_depth = 0 && Metrics.collecting m then begin
     let c0 = Metrics.now_ns () in
-    let f = compile_query ctx [] q in
+    let _, f = compile_query ctx [] q in
     m.Metrics.last_compile_ns <- Metrics.now_ns () - c0;
     f { ctx; rows = []; params }
   end
   else
-    let f = compile_query ctx [] q in
+    let _, f = compile_query ctx [] q in
     f { ctx; rows = []; params }
 
 and run_trigger db trig ~new_row ~old_row cols =
@@ -3030,7 +2874,7 @@ and affected_view_rows db params view cols where =
       having = None;
     }
   in
-  let f = compile_select ctx [] sel in
+  let _, f = compile_select ctx [] sel in
   (f { ctx; rows = []; params }).rel_rows
 
 and exec_delete db params table where =

@@ -210,9 +210,37 @@ let test_explain_select () =
     (contains out "flattening:");
   Alcotest.(check bool) "shows the access path" true
     (contains out "genealogy access path");
+  Alcotest.(check bool) "prints the compiled plan" true
+    (contains out "plan:" && contains out "select via");
   let js = I.explain_json t "SELECT task FROM TasKy2.Task" in
   Alcotest.(check bool) "json kind" true (contains js "\"kind\":\"query\"");
-  Alcotest.(check bool) "json targets" true (contains js "tasky2.task")
+  Alcotest.(check bool) "json targets" true (contains js "tasky2.task");
+  Alcotest.(check bool) "json access paths come off the plan" true
+    (contains js "{\"object\":\"tasky2.task\",\"path\":\"computed\"}");
+  (* a SELECT that cannot compile cannot be explained either: every EXPLAIN
+     surface raises the executor's own error, exactly as executing it does *)
+  List.iter
+    (fun sql ->
+      let expected =
+        match I.query_rows t sql with
+        | _ -> Alcotest.failf "%s: executing must fail" sql
+        | exception Minidb.Exec.Exec_error msg -> msg
+      in
+      List.iter
+        (fun (surface, f) ->
+          match f t sql with
+          | _ -> Alcotest.failf "%s: %s must fail" sql surface
+          | exception Minidb.Exec.Exec_error msg ->
+            Alcotest.(check string) (sql ^ ": " ^ surface) expected msg)
+        [
+          ("explain", I.explain);
+          ("explain_json", I.explain_json);
+          ("explain_analyze", I.explain_analyze);
+        ])
+    [
+      "SELECT task FROM NoSuch.Task";
+      "SELECT nope FROM TasKy.Task WHERE prio = 1";
+    ]
 
 let test_explain_insert_cascade () =
   let t = Scenarios.Tasky.setup_full ~tasks:5 () in
@@ -341,9 +369,45 @@ let analyze_queries =
     "SELECT author, task FROM Do!.Todo";
     "SELECT task, prio FROM TasKy2.Task";
     "SELECT name FROM TasKy2.Author";
+    "SELECT t.task, t.prio, a.name FROM TasKy2.Task t JOIN TasKy2.Author a \
+     ON t.author = a.p WHERE t.prio = 1";
+    "SELECT author, COUNT(*) FROM TasKy2.Task GROUP BY author";
+    "SELECT task, prio, author FROM TasKy2.Task WHERE p = 3";
+    (* expression subqueries: a decorrelated EXISTS reading a view once, and
+       an IN subquery evaluated once per outer row *)
+    "SELECT name FROM TasKy2.Author a WHERE EXISTS (SELECT * FROM TasKy2.Task \
+     t WHERE t.author = a.p)";
+    "SELECT name FROM TasKy2.Author a WHERE a.p IN (SELECT author FROM \
+     TasKy2.Task WHERE prio = 1)";
   |]
 
-(* The per-node actuals come from the trace; the cross-check line compares
+(* EXPLAIN ANALYZE tells the truth: it pairs every operator span of the
+   statement's trace with the plan node that recorded it. So the printed plan
+   must show what ran: some node ran (and says so with its rows), no span
+   went unaccounted for, no node ran on a path other than the one printed —
+   except a computed view the view cache served — and nothing reads as not
+   reached. *)
+let check_plan_is_what_ran t sql label =
+  let out = I.explain_analyze t sql in
+  Alcotest.(check bool) (label ^ ": the plan shows what ran") true
+    (contains out "plan:" && contains out "  rows=");
+  List.iter
+    (fun line ->
+      let cache_hit = "  ran via cache-hit" in
+      let ok =
+        (not (contains line "unplanned span" || contains line "not reached"))
+        && ((not (contains line "ran via"))
+           || String.ends_with ~suffix:cache_hit line
+              &&
+              let node =
+                String.sub line 0 (String.length line - String.length cache_hit)
+              in
+              contains node " via computed  " && not (contains node "ran via"))
+      in
+      if not ok then Alcotest.failf "%s: %s" label line)
+    (String.split_on_char '\n' out)
+
+(* The plan's actuals come from the trace; the cross-check line compares
    the trace root's row count against the executed result's [rel_count]
    attribution. They must agree exactly on both executor paths. *)
 let explain_analyze_rows_match =
@@ -359,6 +423,21 @@ let explain_analyze_rows_match =
       contains out "-> exact match"
       && contains out (Fmt.str "executed rows=%d" rows))
 
+let test_explain_analyze_is_what_ran () =
+  List.iter
+    (fun batch ->
+      let t = Scenarios.Tasky.setup_full ~tasks:12 () in
+      I.set_batch t batch;
+      Array.iter
+        (fun sql ->
+          let label = Fmt.str "%s batch=%b" sql batch in
+          check_plan_is_what_ran t sql label;
+          (* again, now that the view cache holds what the first run
+             computed *)
+          check_plan_is_what_ran t sql (label ^ " warm"))
+        analyze_queries)
+    [ true; false ]
+
 (* The same exactness must hold away from TasKy: the synthetic Wikimedia
    genealogy exercises much deeper view stacks (filler tables, long SMO
    chains) than the three-version demo. *)
@@ -372,18 +451,24 @@ let test_explain_analyze_wikimedia () =
       I.set_batch t batch;
       List.iter
         (fun v ->
-          let sql = Scenarios.Wikimedia.query_page_by_title ~version:v ~i:3 in
-          let rows = List.length (I.query_rows t sql) in
-          let out = I.explain_analyze t sql in
-          let label = Fmt.str "%s batch=%b" v batch in
-          Alcotest.(check bool)
-            (label ^ ": exact match")
-            true
-            (contains out "-> exact match");
-          Alcotest.(check bool)
-            (label ^ ": executed rows")
-            true
-            (contains out (Fmt.str "executed rows=%d" rows)))
+          List.iter
+            (fun sql ->
+              let rows = List.length (I.query_rows t sql) in
+              let out = I.explain_analyze t sql in
+              let label = Fmt.str "%s batch=%b" sql batch in
+              Alcotest.(check bool)
+                (label ^ ": exact match")
+                true
+                (contains out "-> exact match");
+              Alcotest.(check bool)
+                (label ^ ": executed rows")
+                true
+                (contains out (Fmt.str "executed rows=%d" rows));
+              check_plan_is_what_ran t sql label)
+            [
+              Scenarios.Wikimedia.query_page_by_title ~version:v ~i:3;
+              Scenarios.Wikimedia.query_link_count ~version:v;
+            ])
         [ names.(0); v_mid; names.(n - 1) ])
     [ true; false ]
 
@@ -466,6 +551,8 @@ let () =
           tc "select path" test_explain_select;
           tc "insert cascade" test_explain_insert_cascade;
           QCheck_alcotest.to_alcotest explain_analyze_rows_match;
+          tc "analyze: every traced node ran on its planned path"
+            test_explain_analyze_is_what_ran;
           tc "analyze exact on Wikimedia genealogy"
             test_explain_analyze_wikimedia;
         ] );
