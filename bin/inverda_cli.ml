@@ -61,7 +61,10 @@ let execute t input =
         | Minidb.Exec.Done -> Fmt.pr "ok@.")
   with
   | Minidb.Sql_lexer.Cursor.Parse_error msg -> Fmt.pr "parse error: %s@." msg
-  | Minidb.Sql_lexer.Lex_error (msg, _) -> Fmt.pr "lex error: %s@." msg
+  | Minidb.Sql_lexer.Lex_error (msg, off) ->
+    Fmt.pr "lex error: %a: %s@." Minidb.Sql_lexer.pp_pos
+      (Minidb.Sql_lexer.pos_of_offset input off)
+      msg
   | Minidb.Database.Engine_error msg
   | Minidb.Exec.Exec_error msg
   | Inverda.Genealogy.Catalog_error msg

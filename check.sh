@@ -27,6 +27,9 @@ for field in ok smos id smo getput putget status diagnostics; do
 done
 echo "$verify_json" | grep -q '"ok":true' \
   || { echo "check.sh: verify --json reports ok=false on the demo" >&2; exit 1; }
+# bidirectionality: every SMO template round-trips executably and both lens
+# laws are proved, DECOMPOSE ON FOREIGN KEY and ON a condition included
+dune exec bench/main.exe -- --only formal > /dev/null
 # telemetry: the stats --json document must carry every field of its schema
 stats_json=$(dune exec bin/inverda_cli.exe -- stats --demo --json)
 for field in enabled observed_statements engine_statements trigger_hops \

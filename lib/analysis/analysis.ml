@@ -29,10 +29,16 @@ let check_script = Script_check.check_script
 let check_rules = Rule_check.check_rules
 let check_delta = Sql_check.check_delta
 
-(** Lint BiDEL source text: parse (reporting parse errors as a single
-    [BDL000] diagnostic) and run {!check_script}. *)
+(** Lint BiDEL source text: lex and parse (reporting the first error as a
+    single [BDL000] diagnostic) and run {!check_script}. *)
 let lint_source ?env src : Diagnostic.t list =
   match Bidel.Parser.script_of_string_located src with
   | script -> Script_check.check_script ?env script
   | exception Bidel.Parser.Parse_error msg ->
     [ Diagnostic.error "BDL000" "syntax error: %s" msg ]
+  | exception Minidb.Sql_lexer.Lex_error (msg, off) ->
+    let p = Minidb.Sql_lexer.pos_of_offset src off in
+    let span =
+      { Bidel.Ast.line = p.line; col = p.col; end_line = p.line; end_col = p.col }
+    in
+    [ Diagnostic.error "BDL000" ~span "syntax error: %s" msg ]

@@ -287,11 +287,18 @@ let apply_smo st ctx ~dropped (tables : version) (lsmo : A.smo A.located) :
       err st "BDL003" span ctx "%s: no column %s in %s" (A.smo_name smo) c what
     | _ -> ()
   in
+  (* every table is stored as [key :: payload] *)
+  let check_key_name table c =
+    if c = Bidel.Smo_semantics.key then
+      err st "BDL006" span ctx "%s: column %s of %s clashes with the key column"
+        (A.smo_name smo) c table
+  in
   match smo with
   | A.Create_table { table; columns } ->
     List.iter
       (fun c -> err st "BDL006" span ctx "duplicate column %s in CREATE TABLE %s" c table)
       (dup_names columns);
+    List.iter (check_key_name table) (List.sort_uniq compare columns);
     check_new_name st span ctx ~dropped tables table;
     add table (Some columns) tables
   | A.Drop_table { table } ->
@@ -306,6 +313,7 @@ let apply_smo st ctx ~dropped (tables : version) (lsmo : A.smo A.located) :
   | A.Rename_column { table; col; into } ->
     let cols = source table in
     check_col table cols col;
+    check_key_name table into;
     (match cols with
     | Some cs when List.mem into cs && into <> col ->
       err st "BDL006" span ctx "RENAME COLUMN: %s already has a column %s" table
@@ -317,6 +325,7 @@ let apply_smo st ctx ~dropped (tables : version) (lsmo : A.smo A.located) :
     add table cols' (remove table tables)
   | A.Add_column { table; col; default } ->
     let cols = source table in
+    check_key_name table col;
     (match cols with
     | Some cs when List.mem col cs ->
       err st "BDL006" span ctx "ADD COLUMN: %s already has a column %s" table col
@@ -350,6 +359,7 @@ let apply_smo st ctx ~dropped (tables : version) (lsmo : A.smo A.located) :
     | _ -> ());
     (match linkage with
     | A.On_fk fk ->
+      check_key_name lname fk;
       if List.mem fk lcols then
         err st "BDL006" span ctx
           "DECOMPOSE ON FK: foreign key column %s clashes with a column of %s" fk

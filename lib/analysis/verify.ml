@@ -2,15 +2,15 @@
     (condition 26) — for SMO instances, and deciding semantic equivalence /
     disjointness questions for Flatten's composed rule sets.
 
-    Two engines cooperate (see {!Symbolic}):
+    This is the one prover of the reproduction. Two engines cooperate (see
+    {!Symbolic}); for the laws, both run {!Bidel.Verify.roundtrip}:
 
     - the {e chase} evaluates both round trips on canonical instances with
       labeled nulls and accepts only when the result is exactly the identity
       — a proof valid for every instance;
     - the {e grounded sweep} exhausts the abstract small-model family
       derived from the rule sets (NULLs, condition constants with boundary
-      neighbours, key values, fresh values) through the concrete evaluator,
-      reusing {!Bidel.Verify}'s round-trip oracle.
+      neighbours, key values, fresh values) through the concrete evaluator.
 
     A law is [Proved] if either engine succeeds, [Refuted] with a minimized
     concrete counterexample if the sweep finds a violating instance, and
@@ -27,7 +27,7 @@ module Sym = Symbolic
 
 (* --- verdicts -------------------------------------------------------------------- *)
 
-type law = GetPut | PutGet
+type law = BV.law = GetPut | PutGet
 
 let law_name = function GetPut -> "GetPut" | PutGet -> "PutGet"
 
@@ -59,42 +59,12 @@ let report_ok r = verdict_ok r.lr_getput && verdict_ok r.lr_putget
 let rel_schema rels =
   List.map (fun (r : S.rel) -> (r.S.rel_name, List.length r.S.rel_cols)) rels
 
-let rel_names rels = List.map (fun (r : S.rel) -> r.S.rel_name) rels
-
-(* c-instance analogues of Bidel.Verify's project/merge/apply_state_updates *)
-let cproject names (ci : Sym.cinstance) =
-  List.map
-    (fun n -> (n, Option.value (List.assoc_opt n ci) ~default:[]))
-    names
-
-let cmerge (a : Sym.cinstance) (b : Sym.cinstance) : Sym.cinstance =
-  a @ List.filter (fun (n, _) -> not (List.mem_assoc n a)) b
-
-let capply_state_updates (inst : S.instance) (ci : Sym.cinstance) :
-    Sym.cinstance =
-  List.map
-    (fun (name, ts) ->
-      match
-        List.find_opt (fun (_, state) -> state = name) inst.S.state_updates
-      with
-      | Some (fresh, _) ->
-        (name, Option.value (List.assoc_opt fresh ci) ~default:ts)
-      | None -> (name, ts))
-    ci
-
-(* Symbolic mirror of {!Bidel.Verify.roundtrip_src}/[roundtrip_tgt]: backfill
-   on the canonical data, first mapping hop (carrying the persistent
-   auxiliary state), second hop, then the data tables must chase back to
-   exactly the unguarded canonical tuples. One canonical row per data
-   relation, over every presence shape (any subset of relations empty) so
-   negations are exercised both ways. *)
+(* The symbolic round trip: one canonical row per data relation, over every
+   presence shape (any subset of relations empty) so negations are exercised
+   both ways; every data table must chase back to exactly its unguarded
+   canonical tuples. *)
 let chase_law (inst : S.instance) law =
-  let data_rels = match law with GetPut -> inst.S.sources | PutGet -> inst.S.targets in
-  let first, second =
-    match law with
-    | GetPut -> (inst.S.gamma_tgt, inst.S.gamma_src)
-    | PutGet -> (inst.S.gamma_src, inst.S.gamma_tgt)
-  in
+  let data_rels, _, second = BV.law_side inst law in
   (* only lens-mediated relations round-trip: a data table no rule of the
      way-back program derives is stored physically on both sides (CREATE
      TABLE's target, DROP TABLE's absent side) and the law is vacuous for
@@ -113,17 +83,10 @@ let chase_law (inst : S.instance) law =
           else (name, []))
         schema
     in
-    let ids = Sym.chase st inst.S.backfill start in
-    let edb1 = cmerge ids start in
-    let out1 = Sym.chase st first edb1 in
-    let state = cproject (rel_names inst.S.aux_both) edb1 in
-    let edb2 = capply_state_updates inst (cmerge out1 state) in
-    let out2 = Sym.chase st second edb2 in
+    let back = BV.roundtrip ~eval:(Sym.chase st) inst law start in
     List.for_all
       (fun (name, _) ->
-        Sym.ctuples_identical
-          (Option.value (List.assoc_opt name out2) ~default:[])
-          (Option.value (List.assoc_opt name start) ~default:[]))
+        Sym.ctuples_identical (List.assoc name back) (List.assoc name start))
       compared_schema
   in
   (List.for_all ok_shape shapes, List.length shapes)
@@ -244,14 +207,8 @@ let consistent ~(schema : (string * int) list) constraints
        constraints
 
 let sweep_law ~max_instances (inst : S.instance) law =
-  let data_rels = match law with GetPut -> inst.S.sources | PutGet -> inst.S.targets in
-  let second =
-    match law with GetPut -> inst.S.gamma_src | PutGet -> inst.S.gamma_tgt
-  in
-  let reader =
-    (match law with GetPut -> inst.S.gamma_tgt | PutGet -> inst.S.gamma_src)
-    @ inst.S.backfill
-  in
+  let data_rels, first, second = BV.law_side inst law in
+  let reader = first @ inst.S.backfill in
   let schema = rel_schema data_rels in
   let programs = [ inst.S.gamma_src; inst.S.gamma_tgt; inst.S.backfill ] in
   (* one engine for the whole sweep: the skolem memo is deterministic in its
@@ -262,10 +219,10 @@ let sweep_law ~max_instances (inst : S.instance) law =
     let heads = D.head_preds second in
     List.filter (fun (n, _) -> List.mem n heads) schema |> List.map fst
   in
-  (* the omega convention (see {!Datalog.Simplify.is_identity_modulo_null}):
-     a row whose payload is entirely NULL is not representable by the
-     outer-join / decompose templates and counts as absent on both sides of
-     the comparison *)
+  (* the omega convention (DESIGN §5): the outer-join / decompose templates
+     cannot represent a row whose payload is entirely NULL — it pads missing
+     partners with exactly that row — so such a row counts as absent on both
+     sides of the comparison *)
   let omega data =
     List.map
       (fun (n, rows) ->
@@ -290,11 +247,7 @@ let sweep_law ~max_instances (inst : S.instance) law =
        feed an INTEGER into a TEXT comparison and raise, which only means
        this instance is not type-consistent with the SMO's conditions —
        skip it, like any other unreachable state *)
-    match
-      match law with
-      | GetPut -> ok (BV.check_src ~engine inst data)
-      | PutGet -> ok (BV.check_tgt ~engine inst data)
-    with
+    match ok (BV.check ~engine inst law data) with
     | r -> r
     | exception Minidb.Value.Type_error _ -> true
   in
@@ -315,56 +268,51 @@ let sweep_law ~max_instances (inst : S.instance) law =
     Unknown (Fmt.str "grounding family too large (%d instances > budget %d)" n max_instances)
   | Sym.Counterexample cx ->
     let cx = Sym.minimize ~check cx in
-    let rep =
-      match law with
-      | GetPut -> BV.check_src ~engine inst cx
-      | PutGet -> BV.check_tgt ~engine inst cx
-    in
     Refuted
       {
         cx_label = law_name law;
         cx_data = cx;
-        cx_report = BV.report_to_string rep;
+        cx_report = BV.report_to_string (BV.check ~engine inst law cx);
       }
   | exception e ->
     Unknown (Fmt.str "evaluation error during sweep (%s)" (Printexc.to_string e))
 
 (* --- memoized law checking ---------------------------------------------------------- *)
 
-let memo : (string, verdict) Hashtbl.t = Hashtbl.create 64
+(* Every question this module decides is answered once per structure: the
+   question is digested, so structurally identical ones (the common case
+   across versions, regenerations and tests) share one verdict. *)
+let memoized tbl question decide =
+  let key = Digest.string (Marshal.to_string question []) in
+  match Hashtbl.find_opt tbl key with
+  | Some v -> v
+  | None ->
+    let v = decide () in
+    Hashtbl.replace tbl key v;
+    v
 
-let instance_digest (inst : S.instance) law =
-  Digest.to_hex
-    (Digest.string
-       (Marshal.to_string
-          ( law_name law,
-            inst.S.gamma_src,
-            inst.S.gamma_tgt,
-            inst.S.backfill,
-            inst.S.state_updates,
-            rel_schema inst.S.sources,
-            rel_schema inst.S.targets,
-            rel_schema inst.S.aux_src,
-            rel_schema inst.S.aux_tgt,
-            rel_schema inst.S.aux_both )
-          []))
+let law_memo : (Digest.t, verdict) Hashtbl.t = Hashtbl.create 64
 
 (** Verify one law of one SMO instance: symbolic chase first, grounded sweep
     where the chase cannot close the round trip. *)
 let check_law ?(max_instances = 20_000) (inst : S.instance) law =
-  let key = instance_digest inst law in
-  match Hashtbl.find_opt memo key with
-  | Some v -> v
-  | None ->
-    let v =
+  memoized law_memo
+    ( law_name law,
+      inst.S.gamma_src,
+      inst.S.gamma_tgt,
+      inst.S.backfill,
+      inst.S.state_updates,
+      rel_schema inst.S.sources,
+      rel_schema inst.S.targets,
+      rel_schema inst.S.aux_src,
+      rel_schema inst.S.aux_tgt,
+      rel_schema inst.S.aux_both )
+    (fun () ->
       match chase_law inst law with
       | true, shapes ->
         Proved (Fmt.str "symbolic chase, %d canonical shapes" shapes)
       | false, _ -> sweep_law ~max_instances inst law
-      | exception _ -> sweep_law ~max_instances inst law
-    in
-    Hashtbl.replace memo key v;
-    v
+      | exception _ -> sweep_law ~max_instances inst law)
 
 let check_instance ?max_instances (inst : S.instance) =
   {
@@ -432,7 +380,7 @@ let equivalent_on_uncached ~max_instances ~(schema : (string * int) list)
       Refuted { cx_label = label; cx_data = cx; cx_report = "" }
     | exception _ -> Unknown "evaluation error during sweep")
 
-let eq_memo : (string, verdict) Hashtbl.t = Hashtbl.create 64
+let eq_memo : (Digest.t, verdict) Hashtbl.t = Hashtbl.create 64
 
 (** Are [reference] and [candidate] equivalent on the [outputs] predicates
     for every database over [schema]? Chase both on canonical instances
@@ -442,22 +390,10 @@ let eq_memo : (string, verdict) Hashtbl.t = Hashtbl.create 64
 let equivalent_on ?(max_instances = 20_000) ~(schema : (string * int) list)
     ~(outputs : string list) ~(reference : D.t) ~(candidate : D.t) () :
     verdict =
-  let key =
-    Digest.to_hex
-      (Digest.string
-         (Marshal.to_string
-            (max_instances, schema, outputs, reference, candidate)
-            []))
-  in
-  match Hashtbl.find_opt eq_memo key with
-  | Some v -> v
-  | None ->
-    let v =
+  memoized eq_memo (max_instances, schema, outputs, reference, candidate)
+    (fun () ->
       equivalent_on_uncached ~max_instances ~schema ~outputs ~reference
-        ~candidate ()
-    in
-    Hashtbl.replace eq_memo key v;
-    v
+        ~candidate ())
 
 (* --- UNION ALL branch disjointness ---------------------------------------------------- *)
 
@@ -512,7 +448,7 @@ let disjoint_branches_uncached ~max_instances ~(schema : (string * int) list)
     | exception _ -> Undecided "evaluation error during sweep"
   end
 
-let dj_memo : (string, disjointness) Hashtbl.t = Hashtbl.create 64
+let dj_memo : (Digest.t, disjointness) Hashtbl.t = Hashtbl.create 64
 
 (** Do any two of [branches] (rules sharing one head predicate) derive a
     common tuple on some database over [schema]? Decides the semantic
@@ -521,16 +457,8 @@ let dj_memo : (string, disjointness) Hashtbl.t = Hashtbl.create 64
     verdict. Memoized like {!equivalent_on}. *)
 let disjoint_branches ?(max_instances = 20_000) ~(schema : (string * int) list)
     (branches : D.rule list) : disjointness =
-  let key =
-    Digest.to_hex
-      (Digest.string (Marshal.to_string (max_instances, schema, branches) []))
-  in
-  match Hashtbl.find_opt dj_memo key with
-  | Some v -> v
-  | None ->
-    let v = disjoint_branches_uncached ~max_instances ~schema branches in
-    Hashtbl.replace dj_memo key v;
-    v
+  memoized dj_memo (max_instances, schema, branches) (fun () ->
+      disjoint_branches_uncached ~max_instances ~schema branches)
 
 (* --- the mutation harness -------------------------------------------------------------- *)
 

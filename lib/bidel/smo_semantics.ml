@@ -877,3 +877,26 @@ let target_table_cols ~smo ~source_cols =
       | On_pk | On_cond _ -> lcols_full
     in
     [ (into, lcols @ rcols) ]
+
+(* Every target table is stored as [key :: payload]: a payload column may
+   neither repeat nor be named like the key. Checked after the SMO's own,
+   more specific checks. *)
+let instantiate ~smo ~source_cols ~name_src ~name_tgt ~aux_name ~skolem_name =
+  let inst =
+    instantiate ~smo ~source_cols ~name_src ~name_tgt ~aux_name ~skolem_name
+  in
+  List.iter
+    (fun (table, cols) ->
+      if List.mem key cols then
+        error "%s: column %s of %s clashes with the key column" (smo_name smo)
+          key table;
+      let rec dup = function
+        | [] -> ()
+        | c :: rest ->
+          if List.mem c rest then
+            error "%s: duplicate column %s in %s" (smo_name smo) c table;
+          dup rest
+      in
+      dup cols)
+    (target_table_cols ~smo ~source_cols);
+  inst

@@ -16,6 +16,9 @@
     auxiliaries are kept total eagerly via [backfill] and the write triggers;
     all-NULL payloads follow the ω-convention). *)
 
+val key : string
+(** The key column every relation carries first: ["p"]. *)
+
 type rel = { rel_name : string; rel_cols : string list }
 (** A relation of the instance; the first column is the key. *)
 
@@ -51,7 +54,8 @@ val instantiate :
     table names to unique relation names and auxiliary/skolem kinds to
     object names ([skolem_name] must register the function). Raises
     {!Semantics_error} on ill-formed SMOs (unknown columns, non-partitioning
-    decompositions, mismatched merge schemas, ...). *)
+    decompositions, mismatched merge schemas, a target table with a
+    duplicate column or a column named like the {!key}, ...). *)
 
 val target_table_cols :
   smo:Ast.smo -> source_cols:(string -> string list) ->

@@ -14,7 +14,6 @@
     mapping steps — mirroring how InVerDa materializes these auxiliaries
     eagerly. *)
 
-module D = Datalog.Ast
 module Eval = Datalog.Eval
 module Value = Minidb.Value
 module S = Smo_semantics
@@ -72,34 +71,22 @@ let apply_state_updates (inst : S.instance) data =
       | None -> (name, tuples))
     data
 
-(* One mapping hop: evaluate [rules] on [edb], carry the persistent pair-id
-   state across, and fold derived state updates into it. *)
-let hop ~engine inst rules edb =
-  let out = Eval.eval ~engine rules edb in
+type law = GetPut | PutGet
+
+let law_side (inst : S.instance) = function
+  | GetPut -> (inst.S.sources, inst.S.gamma_tgt, inst.S.gamma_src)
+  | PutGet -> (inst.S.targets, inst.S.gamma_src, inst.S.gamma_tgt)
+
+(* The round trip never looks inside a tuple, so the Datalog oracle and the
+   symbolic chase share it: backfill the identifier state, map out (carrying
+   the persistent pair-id state across and folding the derived state updates
+   into it), map back, and keep the law's data relations. *)
+let roundtrip ~eval (inst : S.instance) law data =
+  let rels, first, second = law_side inst law in
+  let edb = merge (eval inst.S.backfill data) data in
   let state = project (rel_names inst.S.aux_both) edb in
-  apply_state_updates inst (merge out state)
-
-(** Round trip of condition (27): source data through gamma_tgt, back through
-    gamma_src; returns (expected, actual) per source data table. *)
-let roundtrip_src ?engine (inst : S.instance) (src_data : data) =
-  let engine = match engine with Some e -> e | None -> test_engine () in
-  let ids = Eval.eval ~engine inst.S.backfill src_data in
-  let edb1 = merge ids src_data in
-  let edb2 = hop ~engine inst inst.S.gamma_tgt edb1 in
-  let src_out = Eval.eval ~engine inst.S.gamma_src edb2 in
-  let names = rel_names inst.S.sources in
-  (project names src_data, project names src_out)
-
-(** Round trip of condition (26): target data through gamma_src, back through
-    gamma_tgt. *)
-let roundtrip_tgt ?engine (inst : S.instance) (tgt_data : data) =
-  let engine = match engine with Some e -> e | None -> test_engine () in
-  let ids = Eval.eval ~engine inst.S.backfill tgt_data in
-  let edb1 = merge ids tgt_data in
-  let edb2 = hop ~engine inst inst.S.gamma_src edb1 in
-  let tgt_out = Eval.eval ~engine inst.S.gamma_tgt edb2 in
-  let names = rel_names inst.S.targets in
-  (project names tgt_data, project names tgt_out)
+  let out = merge (eval first edb) state in
+  project (rel_names rels) (eval second (apply_state_updates inst out))
 
 let equal_data a b =
   List.length a = List.length b
@@ -112,13 +99,16 @@ let equal_data a b =
 
 type report = { ok : bool; expected : data; actual : data }
 
-let check_src ?engine inst src_data =
-  let expected, actual = roundtrip_src ?engine inst src_data in
+let check ?engine inst law data =
+  let engine = match engine with Some e -> e | None -> test_engine () in
+  let rels, _, _ = law_side inst law in
+  let expected = project (rel_names rels) data in
+  let actual = roundtrip ~eval:(Eval.eval ~engine) inst law data in
   { ok = equal_data expected actual; expected; actual }
 
-let check_tgt ?engine inst tgt_data =
-  let expected, actual = roundtrip_tgt ?engine inst tgt_data in
-  { ok = equal_data expected actual; expected; actual }
+let check_src ?engine inst data = check ?engine inst GetPut data
+
+let check_tgt ?engine inst data = check ?engine inst PutGet data
 
 let pp_data ppf (data : data) =
   List.iter
@@ -132,105 +122,3 @@ let pp_data ppf (data : data) =
 
 let report_to_string r =
   Fmt.str "expected:@.%aactual:@.%a" pp_data r.expected pp_data r.actual
-
-(* --- symbolic verification (Section 5 / Appendix A) -------------------------- *)
-
-module Simp = Datalog.Simplify
-
-(** Rename body atom predicates: distinguishes the stored relations (the
-    paper's [T_D], [R_D], ...) from the derived relations of the same name
-    when composing the two mapping directions. *)
-let mark_stored ~stored rules =
-  let mark (a : D.atom) =
-    if List.mem a.D.pred stored then { a with D.pred = a.D.pred ^ "!D" } else a
-  in
-  List.map
-    (fun r ->
-      {
-        r with
-        D.body =
-          List.map
-            (function
-              | D.Pos a -> D.Pos (mark a)
-              | D.Neg a -> D.Neg (mark a)
-              | l -> l)
-            r.D.body;
-      })
-    rules
-
-type symbolic_result =
-  | Identity of string
-      (** the composition is the identity mapping; the payload names the
-          method that established it *)
-  | Residual of string  (** what remained *)
-  | Skipped of string  (** identifier-generating SMOs argue via state *)
-
-(* common machinery for both directions *)
-let symbolic_direction ~data_rels ~aux_rels ~inner ~outer (inst : S.instance) =
-  if inst.S.backfill <> [] || inst.S.state_updates <> [] then
-    Skipped "identifier-generating SMO (sequential-state argument)"
-  else begin
-    let stored = rel_names data_rels in
-    let empty = rel_names aux_rels in
-    let inner = mark_stored ~stored inner in
-    let result = Simp.compose ~empty ~inner outer in
-    let residual_aux =
-      (* the paper: auxiliaries stay empty "except for SMOs that calculate
-         new values" — rules that store a computed or padded value (an
-         assignment in the body or a constant in the head) are fine *)
-      List.filter
-        (fun r ->
-          List.mem r.D.head.D.pred empty
-          && (not
-                (List.exists (function D.Assign _ -> true | _ -> false) r.D.body))
-          && not
-               (List.exists (function D.Cst _ -> true | _ -> false) r.D.head.D.args))
-        result
-    in
-    let lemma_ok =
-      residual_aux = []
-      && List.for_all
-           (fun (r : S.rel) ->
-             let arity = List.length r.S.rel_cols in
-             Simp.is_identity ~pred:r.S.rel_name
-               ~source:(r.S.rel_name ^ "!D") ~arity result
-             || Simp.is_identity_modulo_null ~pred:r.S.rel_name
-                  ~source:(r.S.rel_name ^ "!D") ~arity result)
-           data_rels
-    in
-    if lemma_ok then Identity "lemma simplification"
-    else begin
-      (* fall back to the bounded small-model check where the paper's merging
-         steps require disjunctive reasoning *)
-      let heads =
-        List.map
-          (fun (r : S.rel) -> (r.S.rel_name, r.S.rel_name ^ "!D"))
-          data_rels
-      in
-      let stored_decl =
-        List.map
-          (fun (r : S.rel) ->
-            (r.S.rel_name ^ "!D", List.length r.S.rel_cols - 1))
-          data_rels
-      in
-      (* auxiliary heads must also stay empty in every model *)
-      let aux_heads = List.map (fun n -> (n, n ^ "!missing")) empty in
-      match Simp.bounded_identity ~heads:(heads @ aux_heads) ~stored:stored_decl result with
-      | Some n -> Identity (Fmt.str "bounded model check (%d instances)" n)
-      | None ->
-        Residual (Fmt.str "%s" (Datalog.Pretty.rules_to_string result))
-    end
-  end
-
-(** Symbolically replay condition (27): compose gamma_src after gamma_tgt
-    (source data stored, auxiliaries empty) and check that every source data
-    table maps to itself — the Appendix A derivation, mechanized, with a
-    bounded-model fallback for the disjunctive merging steps. *)
-let symbolic_src (inst : S.instance) =
-  symbolic_direction ~data_rels:inst.S.sources ~aux_rels:inst.S.aux_src
-    ~inner:inst.S.gamma_tgt ~outer:inst.S.gamma_src inst
-
-(** Symbolically replay condition (26): compose gamma_tgt after gamma_src. *)
-let symbolic_tgt (inst : S.instance) =
-  symbolic_direction ~data_rels:inst.S.targets ~aux_rels:inst.S.aux_tgt
-    ~inner:inst.S.gamma_src ~outer:inst.S.gamma_tgt inst

@@ -1,12 +1,12 @@
-(** Verification of the bidirectionality laws of Section 5,
+(** The bidirectionality laws of Section 5,
 
-    - condition (27): [D_src = gamma_src^data (gamma_tgt (D_src))]
-    - condition (26): [D_tgt = gamma_tgt^data (gamma_src (D_tgt))]
+    - condition (27), GetPut: [D_src = gamma_src^data (gamma_tgt (D_src))]
+    - condition (26), PutGet: [D_tgt = gamma_tgt^data (gamma_src (D_tgt))]
 
-    two ways: {e executably}, evaluating the mapping rule sets on concrete
-    data with the Datalog oracle; and {e symbolically}, replaying the paper's
-    Lemma 1–5 derivation (Appendix A) with a bounded small-model fallback for
-    the merging steps that need disjunctive reasoning. *)
+    checked {e executably}: the mapping rule sets are evaluated on concrete
+    data with the Datalog oracle. The round trip itself is generic in the
+    evaluator and the tuple type; {!Analysis.Verify} runs the same round trip
+    through its symbolic chase to prove the laws for every instance. *)
 
 type data = (string * Minidb.Value.t array list) list
 
@@ -21,45 +21,46 @@ val skolem_name : string -> string
 val test_engine : unit -> Minidb.Database.t
 (** An engine with the standard skolems registered. *)
 
-(** {1 Executable round trips} *)
+(** {1 The round trip} *)
 
-val roundtrip_src :
-  ?engine:Minidb.Database.t -> Smo_semantics.instance -> data -> data * data
-(** Condition (27): source data through gamma_tgt and back; returns
-    (expected, actual) per source data table. Identifier auxiliaries are
-    backfilled first, mirroring InVerDa's eager maintenance. *)
+type law = GetPut | PutGet
 
-val roundtrip_tgt :
-  ?engine:Minidb.Database.t -> Smo_semantics.instance -> data -> data * data
-(** Condition (26). *)
+val law_side :
+  Smo_semantics.instance ->
+  law ->
+  Smo_semantics.rel list * Datalog.Ast.t * Datalog.Ast.t
+(** The data relations a law round-trips, the mapping out of their side and
+    the mapping back: [(sources, gamma_tgt, gamma_src)] for GetPut,
+    [(targets, gamma_src, gamma_tgt)] for PutGet. *)
+
+val roundtrip :
+  eval:(Datalog.Ast.t -> (string * 't list) list -> (string * 't list) list) ->
+  Smo_semantics.instance ->
+  law ->
+  (string * 't list) list ->
+  (string * 't list) list
+(** Run [data] (the law's side) through the backfill, the mapping out — with
+    the persistent pair-identifier state ([aux_both]) carried across and the
+    derived state updates folded into it, mirroring InVerDa's eager
+    maintenance — and the mapping back; return the law's data relations.
+    Auxiliaries are left out of the result, as in the paper. *)
+
+(** {1 Executable checks} *)
 
 type report = { ok : bool; expected : data; actual : data }
 
+val check :
+  ?engine:Minidb.Database.t -> Smo_semantics.instance -> law -> data -> report
+(** {!roundtrip} under {!Datalog.Eval.eval}, compared with the input. *)
+
 val check_src :
   ?engine:Minidb.Database.t -> Smo_semantics.instance -> data -> report
+(** Condition (27). *)
 
 val check_tgt :
   ?engine:Minidb.Database.t -> Smo_semantics.instance -> data -> report
+(** Condition (26). *)
 
 val report_to_string : report -> string
 
 val equal_data : data -> data -> bool
-
-(** {1 Symbolic verification} *)
-
-type symbolic_result =
-  | Identity of string
-      (** the composition is the identity mapping; the payload names the
-          method ("lemma simplification" or "bounded model check (...)") *)
-  | Residual of string  (** the simplified rules that remained *)
-  | Skipped of string
-      (** identifier-generating SMOs argue via sequential state, as in the
-          paper; they are verified executably instead *)
-
-val symbolic_src : Smo_semantics.instance -> symbolic_result
-(** Mechanize condition (27): compose [gamma_src] after [gamma_tgt] with the
-    source side stored and auxiliaries empty, simplify with Lemmas 1–5, and
-    check identity (exact or modulo the ω-convention). *)
-
-val symbolic_tgt : Smo_semantics.instance -> symbolic_result
-(** Mechanize condition (26). *)

@@ -1,7 +1,8 @@
 (** Symbolic rule-set simplification: the five lemmas of Section 5 plus
-    subsumption, used to replay the paper's bidirectionality proofs
-    mechanically (the Appendix A derivation for SPLIT and its analogues for
-    the other SMOs).
+    subsumption. Flatten and Comat compose γ rule sets along genealogy paths
+    with it; the test suite replays the paper's Appendix A derivation for
+    SPLIT with it. Deciding whether a composition is the identity is
+    {!Analysis.Verify}'s job.
 
     The machinery relies on the paper's standing assumptions: the first
     argument of every atom is the unique key (Lemma 5), and condition
@@ -779,205 +780,3 @@ let compose ?(empty = []) ?derived ~inner outer =
   |> unfold_positive ~derived ~defs:inner
   |> unfold_negative ~derived ~defs:inner
   |> simplify ~empty
-
-(** Does [rules] restricted to head [pred] equal the single identity rule
-    [pred(p, X) <- source(p, X)]? *)
-let is_identity ~pred ~source ~arity rules =
-  let mine = List.filter (fun r -> r.head.pred = pred) rules in
-  let vars = List.init arity (fun i -> Var (Fmt.str "x%d" i)) in
-  let expected =
-    { head = atom pred vars; body = [ Pos (atom source vars) ] }
-  in
-  match mine with [ r ] -> rule_equivalent r expected | _ -> false
-
-(** The omega-convention identity: every rule for [pred] is the identity on
-    [source] restricted by per-column nullness guards, and together the rules
-    cover every nullness combination except the all-NULL payload (which the
-    templates treat as an absent row — the documented omega convention).
-    Head positions may carry a literal NULL when the corresponding source
-    column is constrained NULL. *)
-let is_identity_modulo_null ~pred ~source ~arity rules =
-  let mine = List.filter (fun r -> r.head.pred = pred) rules in
-  if mine = [] then false
-  else begin
-    (* per rule: Some (nullness constraints per payload position) *)
-    let analyse r =
-      match
-        List.partition (function Pos _ -> true | _ -> false) r.body
-      with
-      | [ Pos a ], others when a.pred = source && List.length a.args = arity
-        -> (
-        let ok_shape =
-          List.length r.head.args = arity
-          && List.for_all2
-               (fun h b ->
-                 match h, b with
-                 | Var x, Var y -> x = y
-                 | Cst Value.Null, Var _ -> true
-                 | Cst c1, Cst c2 -> Value.equal c1 c2
-                 | _ -> false)
-               r.head.args a.args
-        in
-        if not ok_shape then None
-        else
-          (* collect nullness guards; every non-atom literal must be one *)
-          let guard_of (e : Sql.expr) =
-            match e with
-            | Sql.Is_null (Sql.Col (None, v), false) -> Some (v, true)
-            | Sql.Unop
-                ( Sql.Not,
-                  Sql.Fun
-                    ( "COALESCE",
-                      [
-                        Sql.Is_null (Sql.Col (None, v), false);
-                        Sql.Const (Value.Bool false);
-                      ] ) ) ->
-              Some (v, false)
-            | _ -> None
-          in
-          let guards =
-            List.map
-              (function
-                | Cond e -> guard_of e
-                | Neg _ | Assign _ | Pos _ -> None)
-              others
-          in
-          if List.for_all Option.is_some guards then
-            (* positions forced NULL by the head must agree with the guards *)
-            let gl = List.map Option.get guards in
-            let consistent =
-              List.for_all2
-                (fun h b ->
-                  match h, b with
-                  | Cst Value.Null, Var v ->
-                    List.assoc_opt v gl = Some true
-                  | _ -> true)
-                r.head.args a.args
-            in
-            if consistent then
-              Some
-                (List.filteri (fun i _ -> i > 0) a.args
-                |> List.map (fun t ->
-                       match t with
-                       | Var v -> List.assoc_opt v gl
-                       | _ -> None))
-            else None
-          else None)
-      | _ -> None
-    in
-    let analysed = List.map analyse mine in
-    List.for_all Option.is_some analysed
-    &&
-    (* coverage: every nullness vector except all-NULL is accepted by some
-       rule; the all-NULL vector by none *)
-    let payload = arity - 1 in
-    let rules_guards = List.map Option.get analysed in
-    let rec vectors n = 
-      if n = 0 then [ [] ]
-      else List.concat_map (fun v -> [ true :: v; false :: v ]) (vectors (n - 1))
-    in
-    List.for_all
-      (fun vec ->
-        let accepted =
-          List.exists
-            (fun guards ->
-              List.for_all2
-                (fun isnull g ->
-                  match g with None -> true | Some req -> req = isnull)
-                vec guards)
-            rules_guards
-        in
-        if List.for_all (fun x -> x) vec then not accepted else accepted)
-      (vectors payload)
-  end
-
-(** Bounded-model equivalence: decide whether the simplified composition is
-    the identity mapping by exhaustive evaluation over all small instances.
-    For the single-key, non-recursive rule class at hand the relevant
-    behaviours are determined by one key with every combination of payload
-    values drawn from the constants appearing in the conditions (plus
-    boundary neighbours and NULL) — a small-model argument that complements
-    the syntactic lemmas where the paper's merging steps require disjunctive
-    reasoning. Returns the number of instances checked, or None when some
-    instance violates the identity. *)
-let bounded_identity ~heads ~stored rules =
-  (* domain: integer constants in conditions, their neighbours, and NULL *)
-  let constants = ref [] in
-  let rec collect (e : Sql.expr) =
-    match e with
-    | Sql.Const (Value.Int n) -> constants := n :: !constants
-    | Sql.Const _ | Sql.Col _ | Sql.Param _ -> ()
-    | Sql.Unop (_, a) | Sql.Is_null (a, _) -> collect a
-    | Sql.Binop (_, a, b) ->
-      collect a;
-      collect b
-    | Sql.Fun (_, args) -> List.iter collect args
-    | Sql.Case (arms, d) ->
-      List.iter
-        (fun (c, v) ->
-          collect c;
-          collect v)
-        arms;
-      Option.iter collect d
-    | Sql.In_list (a, items, _) ->
-      collect a;
-      List.iter collect items
-    | Sql.Exists _ | Sql.In_query _ | Sql.Scalar _ -> ()
-  in
-  List.iter
-    (fun r ->
-      List.iter
-        (function Cond e | Assign (_, e) -> collect e | _ -> ())
-        r.body)
-    rules;
-  let ints = List.sort_uniq compare !constants in
-  let domain =
-    Value.Null
-    :: List.concat_map (fun n -> [ Value.Int (n - 1); Value.Int n; Value.Int (n + 1) ]) ints
-  in
-  let domain = if ints = [] then [ Value.Null; Value.Int 0; Value.Int 1 ] else domain in
-  let domain = List.sort_uniq compare domain in
-  (* all payload tuples for one relation *)
-  let rec tuples n =
-    if n = 0 then [ [] ]
-    else
-      List.concat_map
-        (fun t -> List.map (fun v -> v :: t) domain)
-        (tuples (n - 1))
-  in
-  (* stored: (name, payload_arity); each relation holds zero or one row with
-     key 1 *)
-  let rel_choices (name, arity) =
-    (name, None)
-    :: List.map (fun t -> (name, Some (Array.of_list (Value.Int 1 :: t)))) (tuples arity)
-  in
-  let rec configs = function
-    | [] -> [ [] ]
-    | rel :: rest ->
-      let rests = configs rest in
-      List.concat_map
-        (fun choice -> List.map (fun r -> choice :: r) rests)
-        (rel_choices rel)
-  in
-  let all = configs stored in
-  let ok =
-    List.for_all
-      (fun config ->
-        let edb =
-          List.map
-            (fun (name, row) ->
-              (name, match row with Some r -> [ r ] | None -> []))
-            config
-        in
-        let out = Eval.eval rules edb in
-        List.for_all
-          (fun (head, source) ->
-            let derived =
-              Option.value (List.assoc_opt head out) ~default:[]
-            in
-            let expected = Option.value (List.assoc_opt source edb) ~default:[] in
-            Eval.same_tuples derived expected)
-          heads)
-      all
-  in
-  if ok then Some (List.length all) else None

@@ -1,6 +1,6 @@
 (** Symbolic rule-set simplification: the five lemmas of Section 5 of the
-    paper plus subsumption, used to replay the bidirectionality proofs
-    (Appendix A) mechanically. The machinery relies on the paper's standing
+    paper plus subsumption, used to compose γ rule sets along genealogy
+    paths (Flatten, Comat). The machinery relies on the paper's standing
     assumptions: the first argument of every atom is the unique key
     (Lemma 5), and condition negation is the closed-world
     [NOT (COALESCE (e, FALSE))] wrapper the SMO templates produce. *)
@@ -72,25 +72,3 @@ val compose :
     predicate with no deriving rule unfolds as empty rather than remaining a
     dangling reference (auxiliary relations whose definitions simplified
     away). *)
-
-(** {1 Identity checks} *)
-
-val is_identity :
-  pred:string -> source:string -> arity:int -> Ast.rule list -> bool
-(** Does [rules] restricted to [pred] equal the single identity rule
-    [pred(p, X) <- source(p, X)]? *)
-
-val is_identity_modulo_null :
-  pred:string -> source:string -> arity:int -> Ast.rule list -> bool
-(** Identity up to the ω-convention: nullness-guarded identity rules covering
-    every payload-nullness combination except all-NULL. *)
-
-val bounded_identity :
-  heads:(string * string) list ->
-  stored:(string * int) list ->
-  Ast.rule list ->
-  int option
-(** Decide identity by exhaustive evaluation over all single-key instances
-    with payload values drawn from the conditions' constants (and their
-    boundary neighbours) plus NULL. Returns the number of instances checked,
-    or [None] on a counterexample. *)

@@ -250,11 +250,44 @@ let log_bidel t (stmt : Bidel.Ast.statement) =
   log_record t ~kind:"bidel" ~tag
     ~payload:(Bidel.Printer.statement_to_string stmt)
 
+(* An evolution is all-or-nothing, like a migration. [f] runs inside an
+   engine transaction (inside an open user transaction: from its current
+   undo mark) and registers skolem functions through the callback it is
+   handed. On any exception the undo log unwinds every engine change, the
+   catalog drops what the attempt created, the new skolem functions go, and
+   the delta code is regenerated from the restored catalog before the
+   exception propagates. Nothing is copied up front: the undo log holds
+   only what the attempt changed. *)
+let all_or_nothing t f =
+  let mark = G.evolution_mark t.gen in
+  let added = ref [] in
+  let register fname =
+    if not (Hashtbl.mem t.skolems fname) then added := fname :: !added;
+    register_skolem t fname
+  in
+  let own_txn = not (Db.in_transaction t.db) in
+  if own_txn then Db.begin_internal_txn t.db;
+  let undo = t.db.Db.undo in
+  match f register with
+  | () -> if own_txn then Db.commit_internal_txn t.db
+  | exception exn ->
+    if own_txn then Db.abort_internal_txn t.db else Db.rollback_to t.db undo;
+    G.rollback_evolution t.gen mark;
+    List.iter
+      (fun fname ->
+        Hashtbl.remove t.skolems fname;
+        Db.unregister_function t.db fname)
+      !added;
+    Db.flush_view_cache t.db;
+    Codegen.regenerate t.db t.gen;
+    Comat.rederive_all t.db t.gen;
+    raise exn
+
 (** Execute one BiDEL statement. *)
 let exec_bidel t (stmt : Bidel.Ast.statement) =
   (match stmt with
   | Bidel.Ast.Create_schema_version { name; from; smos } ->
-    let register_skolem fname = register_skolem t fname in
+    all_or_nothing t @@ fun register_skolem ->
     let _sv, instances =
       G.create_schema_version t.gen ~register_skolem ~name ~from ~smos
     in
@@ -310,13 +343,6 @@ let query t sql = Minidb.Engine.query t.db sql
 let query_rows t sql = Minidb.Engine.query_rows t.db sql
 
 let query_int t sql = Minidb.Engine.query_int t.db sql
-
-let insert_row t ~version ~table values =
-  let view = Naming.version_view ~version ~table in
-  let placeholders =
-    String.concat ", " (List.map Minidb.Value.to_literal values)
-  in
-  ignore (Minidb.Engine.execf t.db "INSERT INTO \"%s\" VALUES (%s)" view placeholders)
 
 (* --- telemetry --------------------------------------------------------------- *)
 

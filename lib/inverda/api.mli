@@ -124,10 +124,6 @@ val query_rows : t -> string -> Minidb.Value.t list list
 
 val query_int : t -> string -> int
 
-val insert_row :
-  t -> version:string -> table:string -> Minidb.Value.t list -> unit
-(** Positional insert through a version view. *)
-
 (** {1 Telemetry} *)
 
 val set_telemetry : t -> bool -> unit

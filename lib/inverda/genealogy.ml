@@ -318,6 +318,28 @@ let create_schema_version t ~register_skolem ~name ~from ~smos =
   t.versions <- t.versions @ [ sv ];
   (sv, instances)
 
+type evolution_mark = { em_next_id : int; em_versions : schema_version list }
+
+let evolution_mark t = { em_next_id = t.next_id; em_versions = t.versions }
+
+(* Everything an evolution creates carries an id at or above the mark's;
+   the only older state it changes is its sources' [tv_out] links, the
+   version list and the flatten cache. *)
+let rollback_evolution t m =
+  let fresh id = id >= m.em_next_id in
+  Hashtbl.filter_map_inplace
+    (fun id v -> if fresh id then None else Some v)
+    t.table_versions;
+  Hashtbl.filter_map_inplace (fun id s -> if fresh id then None else Some s) t.smos;
+  Hashtbl.iter
+    (fun _ v -> v.tv_out <- List.filter (fun o -> not (fresh o)) v.tv_out)
+    t.table_versions;
+  t.versions <- m.em_versions;
+  t.next_id <- m.em_next_id;
+  (* the ids are handed out again: an entry about a dropped object could
+     pass the staleness check for its successor *)
+  Hashtbl.reset t.flatten_cache
+
 let drop_schema_version t name =
   let _ = version t name in
   (* The version disappears from the catalog; SMO instances and table

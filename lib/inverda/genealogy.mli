@@ -160,6 +160,18 @@ val create_schema_version :
   smos:Bidel.Ast.smo list ->
   schema_version * smo_instance list
 
+type evolution_mark
+(** The catalog state before an evolution: the id counter and the version
+    list. Constant size. *)
+
+val evolution_mark : t -> evolution_mark
+
+val rollback_evolution : t -> evolution_mark -> unit
+(** Take back every schema version, table version and SMO instance created
+    since the mark: remove them, unlink the removed SMOs from their sources'
+    [tv_out], restore [next_id] (the ids are handed out again, as a
+    recovered catalog would) and empty the flatten cache. *)
+
 val drop_schema_version : t -> string -> unit
 (** Removes the version from the catalog; SMO instances and table versions
     stay while they connect or carry data for the remaining versions. *)

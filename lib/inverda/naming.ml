@@ -14,9 +14,6 @@ let data_table ~id ~table = Fmt.str "d!%d!%s" id table
 (** Auxiliary relation of an SMO instance ([kind] e.g. "rest", "lplus"). *)
 let aux ~smo_id kind = Fmt.str "aux!%d!%s" smo_id kind
 
-(** Physical storage behind an auxiliary relation. *)
-let aux_data name = "d!" ^ name
-
 (** Skolem (identifier-generating) function of an SMO instance. *)
 let skolem ~smo_id kind = Fmt.str "sk!%d!%s" smo_id kind
 

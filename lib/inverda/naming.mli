@@ -13,8 +13,6 @@ val aux : smo_id:int -> string -> string
 (** Auxiliary relation of an SMO instance, by kind (e.g. ["rest"],
     ["lstar"], ["id"]). *)
 
-val aux_data : string -> string
-
 val skolem : smo_id:int -> string -> string
 (** Identifier-generating function of an SMO instance. *)
 

@@ -204,12 +204,6 @@ let trace_tree_text (tr : M.trace) =
   go 0 tr.M.tr_root;
   Buffer.contents buf
 
-(** One trace as a JSON object: the root id plus every span, completion
-    order (root last). *)
-let trace_json (tr : M.trace) =
-  Fmt.str "{\"trace\":%d,\"spans\":[%s]}" tr.M.tr_root.M.sp_trace
-    (String.concat "," (List.map span_json tr.M.tr_spans))
-
 (* --- unified stats ---------------------------------------------------------- *)
 
 let histogram_json h =

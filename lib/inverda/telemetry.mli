@@ -46,10 +46,6 @@ val trace_tree_text : Minidb.Metrics.trace -> string
 (** One trace as an indented tree (root first, children in open order):
     kind, object, path, duration, row counts. *)
 
-val trace_json : Minidb.Metrics.trace -> string
-(** One trace as a JSON object ([{"trace":id,"spans":[...]}], completion
-    order, root last). *)
-
 val stats_json : Minidb.Database.t -> Genealogy.t -> string
 (** The unified stats document ([inverda_cli stats --json]): switch state,
     statement counts, cache hits/misses, flatten fallbacks, per-version and

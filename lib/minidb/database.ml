@@ -401,6 +401,10 @@ let register_function ?(pure = false) t name f =
   Hashtbl.replace t.functions (key name) f;
   if pure then Hashtbl.replace t.pure_functions (key name) ()
 
+let unregister_function t name =
+  Hashtbl.remove t.functions (key name);
+  Hashtbl.remove t.pure_functions (key name)
+
 let find_function t name = Hashtbl.find_opt t.functions (key name)
 
 (** Is [name] registered as safe to re-evaluate from a cached result? *)

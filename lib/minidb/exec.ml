@@ -2207,13 +2207,16 @@ and view_pushdown ctx sel =
 
 and compile_aggregate ctx scopes sel cols produce filter =
   let group_fns = List.map (compile_expr ctx scopes) sel.group_by in
+  (* the only empty group is the one an ungrouped aggregate forms over an
+     empty input; its bare columns read an all-NULL row *)
+  let width = match scopes with s :: _ -> Array.length s.entries | [] -> 0 in
   let eval_aggregate env group_rows e =
     (* evaluate [e] against a group: aggregate calls consume the group,
        other column refs read the group's first row *)
     let rep_env =
       match group_rows with
       | row :: _ -> { env with rows = row :: env.rows }
-      | [] -> { env with rows = Array.make 0 Value.Null :: env.rows }
+      | [] -> { env with rows = Array.make width Value.Null :: env.rows }
     in
     let rec eval e =
       match e with

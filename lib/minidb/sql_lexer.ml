@@ -35,6 +35,17 @@ let pp_pos ppf p = Fmt.pf ppf "line %d, column %d" p.line p.col
 
 let error pos fmt = Fmt.kstr (fun s -> raise (Lex_error (s, pos))) fmt
 
+(** Source position of byte offset [off] in [src] (e.g. a {!Lex_error}'s). *)
+let pos_of_offset src off =
+  let line = ref 1 and bol = ref 0 in
+  for i = 0 to min off (String.length src) - 1 do
+    if src.[i] = '\n' then begin
+      incr line;
+      bol := i + 1
+    end
+  done;
+  { line = !line; col = off - !bol + 1 }
+
 let is_ident_start c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 
@@ -99,7 +110,11 @@ let tokenize_pos src =
         done;
         emit (FLOAT (float_of_string (String.sub src start (!pos - start))))
       end
-      else emit (INT (int_of_string (String.sub src start (!pos - start))))
+      else
+        let digits = String.sub src start (!pos - start) in
+        match int_of_string_opt digits with
+        | Some n -> emit (INT n)
+        | None -> error start "integer literal %s out of range" digits
     end
     else if c = '\'' then begin
       let buf = Buffer.create 16 in

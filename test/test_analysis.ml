@@ -79,6 +79,41 @@ let test_script_spans () =
     Alcotest.(check int) "line" 2 d.Diag.span.Bidel.Ast.line;
     Alcotest.(check bool) "column set" true (d.Diag.span.Bidel.Ast.col > 0)
 
+let test_script_lexer_errors () =
+  (* a lexer error is a located BDL000, not an escaped exception *)
+  List.iter
+    (fun (what, smo, col) ->
+      let src =
+        "CREATE SCHEMA VERSION v1 WITH CREATE TABLE t(a);\n\
+         CREATE SCHEMA VERSION v2 FROM v1 WITH\n  " ^ smo
+      in
+      match lint src with
+      | [ d ] when d.Diag.code = "BDL000" ->
+        Alcotest.(check (pair int int))
+          what (3, col)
+          (d.Diag.span.Bidel.Ast.line, d.Diag.span.Bidel.Ast.col)
+      | ds -> Alcotest.failf "%s: expected one BDL000, got [%s]" what (show ds))
+    [
+      ("stray character", "ADD COLUMN b AS 1 $ 2 INTO t;", 21);
+      ("literal beyond max_int", "ADD COLUMN b AS 99999999999999999999 INTO t;", 19);
+    ]
+
+let test_script_key_column () =
+  (* every table is stored as [p :: payload]: a column named p clashes *)
+  List.iter
+    (fun smo ->
+      let src =
+        "CREATE SCHEMA VERSION v1 WITH CREATE TABLE t(a, b);\n\
+         CREATE SCHEMA VERSION v2 FROM v1 WITH " ^ smo
+      in
+      check_has smo "BDL006" (lint src))
+    [
+      "CREATE TABLE u(p);";
+      "ADD COLUMN p AS 1 INTO t;";
+      "RENAME COLUMN a IN t TO p;";
+      "DECOMPOSE TABLE t INTO r(a), s(b) ON FOREIGN KEY p;";
+    ]
+
 let test_script_clean () =
   check_clean "tasky chain"
     (lint
@@ -326,6 +361,8 @@ let () =
           Alcotest.test_case "seeded diagnostics" `Quick test_script_seeds;
           Alcotest.test_case "source spans" `Quick test_script_spans;
           Alcotest.test_case "clean scripts" `Quick test_script_clean;
+          Alcotest.test_case "lexer errors" `Quick test_script_lexer_errors;
+          Alcotest.test_case "key-named column" `Quick test_script_key_column;
         ] );
       ( "rules",
         [

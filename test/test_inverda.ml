@@ -516,6 +516,92 @@ let test_condition_decompose_end_to_end () =
     [ [ "Annette" ]; [ "Ben" ]; [ "Cleo" ]; [ "Eve" ] ]
     (I.query_rows t "SELECT guest FROM v2.guest")
 
+(* --- rejected evolutions leave no trace --------------------------------------- *)
+
+(* Everything a rejected CREATE SCHEMA VERSION could leave behind: the
+   version list, the catalog description and the engine state. *)
+let state t =
+  (String.concat "," (I.versions t), I.describe t, I.dump t)
+
+(* [bad] must be rejected with [expected] and leave [state] byte-identical;
+   the same version name must then evolve with [good]. *)
+let check_rejected_cleanly t ~bad ~expected ~good =
+  let before = state t in
+  (match I.evolve t bad with
+  | () -> Alcotest.failf "accepted: %s" bad
+  | exception e when expected e -> ()
+  | exception e -> Alcotest.failf "%s: unexpected %s" bad (Printexc.to_string e));
+  let v, d, dump = before and v', d', dump' = state t in
+  Alcotest.(check string) "versions unchanged" v v';
+  Alcotest.(check string) "describe unchanged" d d';
+  Alcotest.(check string) "dump unchanged" dump dump';
+  I.evolve t good
+
+let rejected_by code = function
+  | Analysis.Diagnostic.Rejected ds ->
+    List.exists (fun (d : Analysis.Diagnostic.t) -> d.code = code) ds
+  | _ -> false
+
+let smo_error = function
+  | Bidel.Smo_semantics.Semantics_error _ -> true
+  | _ -> false
+
+let test_rejected_delta_code () =
+  (* a table left with no payload column gets triggers that do not re-parse
+     (IVD001); the rejected version must not linger and break the next
+     evolutions, the DROP SCHEMA VERSION of the rejected name, or recovery *)
+  let dir = Scenarios.Faults.fresh_dir () in
+  Fun.protect ~finally:(fun () -> Scenarios.Faults.rm_rf dir) @@ fun () ->
+  let t = I.create () in
+  I.attach_wal t dir;
+  I.evolve t "CREATE SCHEMA VERSION v1 WITH CREATE TABLE t (a);";
+  ignore (I.exec_sql t "INSERT INTO v1.t (a) VALUES (7)");
+  check_rejected_cleanly t
+    ~bad:"CREATE SCHEMA VERSION v2 FROM v1 WITH DROP COLUMN a FROM t DEFAULT 1;"
+    ~expected:(rejected_by "IVD001")
+    ~good:"CREATE SCHEMA VERSION v3 FROM v1 WITH ADD COLUMN b AS 1 INTO t;";
+  (match I.evolve t "DROP SCHEMA VERSION v2;" with
+  | exception Inverda.Genealogy.Catalog_error _ -> ()
+  | () -> Alcotest.fail "the rejected version v2 could be dropped");
+  I.evolve t "CREATE SCHEMA VERSION v2 FROM v1 WITH ADD COLUMN c AS 2 INTO t;";
+  Alcotest.(check (list string)) "versions" [ "v1"; "v3"; "v2" ] (I.versions t);
+  Alcotest.(check int) "v2 reads through" 2
+    (I.query_int t "SELECT c FROM v2.t WHERE a = 7");
+  (* the log never saw the rejected attempt: a recovered catalog agrees *)
+  I.detach_wal t;
+  let r = I.recover dir in
+  I.detach_wal r;
+  Alcotest.(check string) "recovered describe" (I.describe t) (I.describe r);
+  Alcotest.(check string) "recovered dump" (I.dump t) (I.dump r)
+
+let test_rejected_law () =
+  (* strict mode refutes PutGet of JOIN ON FOREIGN KEY (VRF001) *)
+  let t = I.create () in
+  I.evolve t "CREATE SCHEMA VERSION v1 WITH CREATE TABLE r (a, fk); CREATE TABLE s (b);";
+  ignore (I.exec_sql t "INSERT INTO v1.s (p, b) VALUES (100, 'x')");
+  ignore (I.exec_sql t "INSERT INTO v1.r (a, fk) VALUES (1, 100)");
+  check_rejected_cleanly t
+    ~bad:"CREATE SCHEMA VERSION v2 FROM v1 WITH JOIN TABLE r, s INTO t ON FOREIGN KEY fk;"
+    ~expected:(rejected_by "VRF001")
+    ~good:"CREATE SCHEMA VERSION v2 FROM v1 WITH JOIN TABLE r, s INTO t ON PK;";
+  Alcotest.(check (list string)) "versions" [ "v1"; "v2" ] (I.versions t)
+
+let test_rejected_columns () =
+  (* a duplicate column, or one named like the key p, is a located SMO
+     error, not an escaped schema exception *)
+  let t = I.create () in
+  I.evolve t "CREATE SCHEMA VERSION v0 WITH CREATE TABLE u (x);";
+  check_rejected_cleanly t
+    ~bad:"CREATE SCHEMA VERSION v1 FROM v0 WITH CREATE TABLE t (a, a);"
+    ~expected:smo_error ~good:"CREATE SCHEMA VERSION v1 FROM v0 WITH CREATE TABLE t (a);";
+  check_rejected_cleanly t
+    ~bad:"CREATE SCHEMA VERSION v2 FROM v1 WITH CREATE TABLE w (p);"
+    ~expected:smo_error ~good:"CREATE SCHEMA VERSION v2 FROM v1 WITH CREATE TABLE w (q);";
+  check_rejected_cleanly t
+    ~bad:"CREATE SCHEMA VERSION v3 FROM v2 WITH ADD COLUMN p AS 1 INTO t;"
+    ~expected:smo_error ~good:"CREATE SCHEMA VERSION v3 FROM v2 WITH ADD COLUMN b AS 1 INTO t;";
+  Alcotest.(check (list string)) "versions" [ "v0"; "v1"; "v2"; "v3" ] (I.versions t)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "inverda"
@@ -555,6 +641,12 @@ let () =
           tc "SMO on unknown table rejected" test_smo_on_unknown_table_rejected;
           tc "untouched tables carry over" test_untouched_tables_carry_over;
           tc "drop version keeps connections" test_drop_version_preserves_connections;
+        ] );
+      ( "rejected versions",
+        [
+          tc "delta code (IVD001)" test_rejected_delta_code;
+          tc "lens law (VRF001)" test_rejected_law;
+          tc "duplicate or key column" test_rejected_columns;
         ] );
       ( "extensions",
         [

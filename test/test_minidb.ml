@@ -88,6 +88,17 @@ let test_parser_qualified_names () =
     Alcotest.(check string) "qualified" "TasKy.Task" name
   | _ -> Alcotest.fail "expected qualified table"
 
+let test_integer_literal_range () =
+  (* a literal beyond max_int is a located lexer error, not an escaped
+     int_of_string failure *)
+  let big = string_of_int max_int ^ "0" in
+  (match Sql_parser.statement_of_string ("SELECT " ^ big) with
+  | exception Sql_lexer.Lex_error (_, offset) ->
+    Alcotest.(check int) "offset of the literal" 7 offset
+  | _ -> Alcotest.fail "out-of-range literal accepted");
+  Alcotest.(check value) "max_int still lexes" (Value.Int max_int)
+    (Engine.query_scalar (Engine.create ()) ("SELECT " ^ string_of_int max_int))
+
 let test_parser_errors () =
   let expect_fail sql =
     match Sql_parser.statement_of_string sql with
@@ -223,6 +234,22 @@ let test_aggregate_empty () =
     (Engine.query_int db "SELECT COUNT(*) FROM task WHERE prio = 99");
   Alcotest.(check value) "sum of empty is NULL" Value.Null
     (Engine.query_scalar db "SELECT SUM(prio) FROM task WHERE prio = 99")
+
+let test_aggregate_empty_bare_column () =
+  (* a bare column of the one group over an empty input reads NULL, just as
+     a non-empty group reads its first row *)
+  let db = fresh_tasky () in
+  ignore (Engine.exec db "CREATE TABLE empty (p INTEGER PRIMARY KEY, a INTEGER)");
+  List.iter
+    (fun (sql, expected) -> check_rows sql expected (Engine.query_rows db sql))
+    [
+      ("SELECT a, COUNT(*) FROM empty", [ [ Value.Null; Value.Int 0 ] ]);
+      ("SELECT MAX(a) + a FROM empty", [ [ Value.Null ] ]);
+      ( "SELECT author, COUNT(*) FROM task WHERE prio = 99",
+        [ [ Value.Null; Value.Int 0 ] ] );
+      ("SELECT author, COUNT(*) FROM task WHERE prio = 3",
+        [ [ Value.Text "Ann"; Value.Int 1 ] ]);
+    ]
 
 let test_null_semantics () =
   let db = Engine.create () in
@@ -774,6 +801,7 @@ let () =
           tc "trigger" test_parser_trigger;
           tc "qualified names" test_parser_qualified_names;
           tc "errors" test_parser_errors;
+          tc "integer literal range" test_integer_literal_range;
         ] );
       ( "query",
         [
@@ -789,6 +817,7 @@ let () =
           tc "scalar subquery" test_scalar_subquery;
           tc "aggregates" test_aggregates;
           tc "aggregate empty" test_aggregate_empty;
+          tc "aggregate empty, bare column" test_aggregate_empty_bare_column;
           tc "null semantics" test_null_semantics;
           tc "case" test_case_expr;
         ] );
