@@ -612,116 +612,6 @@ let interleaved_min ~runs (configs : 'a array) (measure : int -> 'a -> int -> fl
   done;
   best
 
-(** The persistent per-experiment ns/op baseline (BENCH_PR4.json): repeated
-    reads at version distance 0 and >= 2 across the flatten-on/off and
-    cache-on/off quadrants, representative write costs, and a migration.
-    The flatten-on (default) configuration keeps the PR2 key names, so the
-    trajectory against BENCH_PR2.json reads directly; the layered
-    configuration re-measures PR2's code path under the [_layered] suffix.
-    Written as JSON so future PRs have a trajectory to compare against. *)
-let json_baseline scale out =
-  let tasks = min scale.fig8_tasks 5_000 in
-  let reads = 50 in
-  let rng = Scenarios.Rng.create ~seed:11 () in
-  (* data stays materialized at TasKy: TasKy2 sits two SMOs away
-     (DECOMPOSE + RENAME COLUMN) and Do! two as well (SPLIT + DROP COLUMN) *)
-  let setup ~flatten ~cache =
-    let t = Scenarios.Tasky.setup_full ~tasks () in
-    I.set_cache t cache;
-    if not flatten then I.set_flatten t false;
-    t
-  in
-  let results = ref [] in
-  let add name v = results := (name, v) :: !results in
-  let read db q = ns (repeated_read_cost db ~reads q) in
-  let insert_cost db base =
-    ns
-      (W.time_unit (fun () ->
-           for i = 1 to 50 do
-             ignore
-               (Minidb.Engine.exec db (Scenarios.Tasky.tasky_insert rng (base + i)))
-           done)
-      /. 50.0)
-  in
-  (* burn-in: one discarded pass over the hot statements so the first
-     measured quadrant does not pay the process's initial heap growth *)
-  let () =
-    let t = setup ~flatten:true ~cache:false in
-    let db = I.database t in
-    ignore (read db (Scenarios.Tasky.tasky2_read rng));
-    ignore (read db (Scenarios.Tasky.do_read rng))
-  in
-  (* quadrants: the flatten-on pair keeps the PR2 key names *)
-  let quadrant ~flatten ~cache ~suffix ~insert_base =
-    let t = setup ~flatten ~cache in
-    let db = I.database t in
-    add ("read_local" ^ suffix) (read db (Scenarios.Tasky.tasky_read rng));
-    let dist2 = read db (Scenarios.Tasky.tasky2_read rng) in
-    add ("read_dist2" ^ suffix) dist2;
-    let do2 = read db (Scenarios.Tasky.do_read rng) in
-    add ("read_do_dist2" ^ suffix) do2;
-    add ("insert_tasky" ^ suffix) (insert_cost db insert_base);
-    (t, dist2, do2)
-  in
-  let t_on, dist2_cache, _ =
-    quadrant ~flatten:true ~cache:true ~suffix:"_cache" ~insert_base:800_000
-  in
-  let _, dist2_nocache, do2_nocache =
-    quadrant ~flatten:true ~cache:false ~suffix:"_nocache"
-      ~insert_base:810_000
-  in
-  let _, dist2_layered_cache, _ =
-    quadrant ~flatten:false ~cache:true ~suffix:"_layered_cache"
-      ~insert_base:820_000
-  in
-  let _, dist2_layered_nocache, do2_layered_nocache =
-    quadrant ~flatten:false ~cache:false ~suffix:"_layered_nocache"
-      ~insert_base:830_000
-  in
-  add "materialize_tasky2"
-    (ns (W.time_unit (fun () -> I.materialize t_on [ "TasKy2" ])));
-  (* after the migration TasKy itself is two SMO hops away *)
-  add "read_tasky_dist2_after_mat_cache"
-    (read (I.database t_on) (Scenarios.Tasky.tasky_read rng));
-  let hits, misses = I.cache_stats t_on in
-  let speedup_cache = dist2_nocache /. Float.max 1e-9 dist2_cache in
-  let speedup_flatten_cold =
-    dist2_layered_nocache /. Float.max 1e-9 dist2_nocache
-  in
-  let speedup_flatten_warm =
-    dist2_layered_cache /. Float.max 1e-9 dist2_cache
-  in
-  let speedup_flatten_cold_do =
-    do2_layered_nocache /. Float.max 1e-9 do2_nocache
-  in
-  let buf = Buffer.create 1024 in
-  let addf fmt = Fmt.kstr (Buffer.add_string buf) fmt in
-  addf "{\n";
-  addf "  \"baseline\": \"PR4\",\n";
-  addf "  \"unit\": \"ns/op\",\n";
-  addf "  \"tasks\": %d,\n" tasks;
-  addf "  \"cache_hits\": %d,\n" hits;
-  addf "  \"cache_misses\": %d,\n" misses;
-  addf "  \"speedup_read_dist2\": %.2f,\n" speedup_cache;
-  addf "  \"speedup_flatten_cold_dist2\": %.2f,\n" speedup_flatten_cold;
-  addf "  \"speedup_flatten_cold_do_dist2\": %.2f,\n" speedup_flatten_cold_do;
-  addf "  \"speedup_flatten_warm_dist2\": %.2f,\n" speedup_flatten_warm;
-  addf "  \"experiments\": {\n";
-  List.iteri
-    (fun i (name, v) ->
-      addf "    \"%s\": %.0f%s\n" name v
-        (if i = List.length !results - 1 then "" else ","))
-    (List.rev !results);
-  addf "  }\n}\n";
-  let oc = open_out out in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Fmt.pr "%s" (Buffer.contents buf);
-  Fmt.pr
-    "wrote %s (cold dist-2 reads flattened vs layered: x%.2f TasKy2, x%.2f \
-     Do!; cache on top: x%.1f)@."
-    out speedup_flatten_cold speedup_flatten_cold_do speedup_cache
-
 (* --- telemetry overhead (BENCH_PR5.json) --------------------------------- *)
 
 let median_of xs =

@@ -48,7 +48,7 @@ let run_isolated name scale_flags =
   | _, Unix.WEXITED 0 -> true
   | _ -> false
 
-let run only full bechamel smoke json json5 json7 json8 json9 json10 =
+let run only full bechamel smoke json5 json7 json8 json9 json10 =
   if bechamel then Micro.run ()
   else
   let scale =
@@ -56,8 +56,7 @@ let run only full bechamel smoke json json5 json7 json8 json9 json10 =
     else if smoke then Experiments.smoke_scale
     else Experiments.default_scale
   in
-  if json then Experiments.json_baseline scale "BENCH_PR4.json"
-  else if json5 then
+  if json5 then
     ignore (Experiments.telemetry_overhead ~out:"BENCH_PR5.json" scale)
   else if json7 then
     ignore (Experiments.comat ~out:"BENCH_PR7.json" scale)
@@ -117,15 +116,6 @@ let smoke =
   let doc = "Use tiny CI-smoke parameters (seconds overall)." in
   Arg.(value & flag & info [ "smoke" ] ~doc)
 
-let json =
-  let doc =
-    "Write the machine-readable per-experiment baseline to BENCH_PR4.json \
-     (repeated reads at version distance 0 and >= 2 across the \
-     flatten-on/off and cache-on/off quadrants, write and migration costs) \
-     instead of running the figure harness."
-  in
-  Arg.(value & flag & info [ "json" ] ~doc)
-
 let json5 =
   let doc =
     "Write the telemetry-overhead baseline to BENCH_PR5.json (the PR4 read \
@@ -174,7 +164,7 @@ let cmd =
   let doc = "Regenerate the tables and figures of the InVerDa paper" in
   Cmd.v (Cmd.info "inverda-bench" ~doc)
     Term.(
-      const run $ only $ full $ bechamel $ smoke $ json $ json5 $ json7
-      $ json8 $ json9 $ json10)
+      const run $ only $ full $ bechamel $ smoke $ json5 $ json7 $ json8
+      $ json9 $ json10)
 
 let () = exit (Cmd.eval cmd)

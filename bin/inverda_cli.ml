@@ -227,7 +227,7 @@ let repl t =
     let rest = String.trim (Buffer.contents buf) in
     if rest <> "" then execute t rest
 
-let run demo no_cache no_flatten no_batch dir =
+let run demo no_cache no_batch dir =
   let t =
     match dir with
     | Some dir when Sys.file_exists (Minidb.Wal.log_file dir) ->
@@ -253,7 +253,6 @@ let run demo no_cache no_flatten no_batch dir =
       t
   in
   if no_cache then I.set_cache t false;
-  if no_flatten then I.set_flatten t false;
   if no_batch then I.set_batch t false;
   repl t;
   0
@@ -265,21 +264,12 @@ let read_script path =
   else In_channel.with_open_text path In_channel.input_all
 
 (* Replay the script on a scratch instance and collect the deeper layers'
-   diagnostics: rule-set safety for every instantiated SMO, the typechecked
-   delta code of the final state, and a warning for every relation whose
-   flattening fell back to the layered view stack. *)
+   diagnostics: rule-set safety for every instantiated SMO and the
+   typechecked delta code of the final state. *)
 let deep_diagnostics ~unused src =
   let t = I.create ~strict:false () in
   match I.evolve t src with
-  | () ->
-    let fallbacks =
-      List.map
-        (fun (rel, why) ->
-          Analysis.Diagnostic.warning "IVD011"
-            "delta code for %s not flattened (layered fallback): %s" rel why)
-        (I.flatten_fallbacks t)
-    in
-    I.rule_diagnostics ~unused t @ I.delta_diagnostics t @ fallbacks
+  | () -> I.rule_diagnostics ~unused t @ I.delta_diagnostics t
   | exception e ->
     [
       Analysis.Diagnostic.error "IVD000" "script replay failed: %s"
@@ -314,6 +304,32 @@ let lint file json shallow deny_warnings unused =
     if Analysis.Diagnostic.has_errors all || (deny_warnings && all <> []) then 1
     else 0
 
+(* Errors a command reports instead of escaping as an uncaught exception
+   (exit 125): a rejected script prints its diagnostics the way [lint]
+   does; every other engine, catalog or script error prints one line. *)
+let cli_errors f =
+  try f () with
+  | Analysis.Diagnostic.Rejected ds ->
+    Fmt.epr "rejected by the static analyzer:@.";
+    Analysis.Diagnostic.report Fmt.stderr ds;
+    1
+  | Inverda.Migration.Migration_error msg
+  | Inverda.Genealogy.Catalog_error msg
+  | Inverda.Comat.Comat_error msg
+  | Minidb.Database.Engine_error msg
+  | Minidb.Exec.Exec_error msg
+  | Minidb.Table.Constraint_violation msg
+  | Bidel.Smo_semantics.Semantics_error msg ->
+    Fmt.epr "error: %s@." msg;
+    1
+  | Minidb.Sql_lexer.Cursor.Parse_error msg | Minidb.Sql_lexer.Lex_error (msg, _)
+    ->
+    Fmt.epr "parse error: %s@." msg;
+    1
+  | Sys_error msg ->
+    Fmt.epr "%s@." msg;
+    2
+
 (* --- the materialize command ------------------------------------------------ *)
 
 let load_demo t =
@@ -328,42 +344,29 @@ let smo_label t id =
     (Bidel.Printer.smo_to_string si.Inverda.Genealogy.si_smo)
 
 let materialize_run demo script dry_run targets =
-  try
-    let t = I.create () in
-    if demo then load_demo t;
-    (match script with Some path -> I.evolve t (read_script path) | None -> ());
-    let to_virtualize, to_materialize = I.migration_plan t targets in
-    let print_plan () =
-      Fmt.pr "flip plan for MATERIALIZE %s:@."
-        (String.concat ", " (List.map (Fmt.str "'%s'") targets));
-      if to_virtualize = [] && to_materialize = [] then
-        Fmt.pr "  nothing to do (already at the requested materialization)@.";
-      List.iter
-        (fun id -> Fmt.pr "  virtualize   %s@." (smo_label t id))
-        to_virtualize;
-      List.iter
-        (fun id -> Fmt.pr "  materialize  %s@." (smo_label t id))
-        to_materialize
-    in
-    print_plan ();
-    if dry_run then 0
-    else begin
-      I.materialize t targets;
-      Fmt.pr "ok: materialization is now {%s}@."
-        (String.concat ","
-           (List.map string_of_int (I.current_materialization t)));
-      0
-    end
-  with
-  | Inverda.Migration.Migration_error msg
-  | Inverda.Genealogy.Catalog_error msg
-  | Minidb.Database.Engine_error msg
-  | Minidb.Exec.Exec_error msg ->
-    Fmt.epr "error: %s@." msg;
-    1
-  | Sys_error msg ->
-    Fmt.epr "%s@." msg;
-    2
+  cli_errors @@ fun () ->
+  let t = I.create () in
+  if demo then load_demo t;
+  (match script with Some path -> I.evolve t (read_script path) | None -> ());
+  let to_virtualize, to_materialize = I.migration_plan t targets in
+  Fmt.pr "flip plan for MATERIALIZE %s:@."
+    (String.concat ", " (List.map (Fmt.str "'%s'") targets));
+  if to_virtualize = [] && to_materialize = [] then
+    Fmt.pr "  nothing to do (already at the requested materialization)@.";
+  List.iter
+    (fun id -> Fmt.pr "  virtualize   %s@." (smo_label t id))
+    to_virtualize;
+  List.iter
+    (fun id -> Fmt.pr "  materialize  %s@." (smo_label t id))
+    to_materialize;
+  if dry_run then 0
+  else begin
+    I.materialize t targets;
+    Fmt.pr "ok: materialization is now {%s}@."
+      (String.concat ","
+         (List.map string_of_int (I.current_materialization t)));
+    0
+  end
 
 (* --- the faults command ------------------------------------------------------ *)
 
@@ -416,23 +419,6 @@ let faults_run smoke stride recover =
     1
 
 (* --- durability commands: checkpoint / recover / history --------------------- *)
-
-let cli_errors f =
-  try f () with
-  | Inverda.Migration.Migration_error msg
-  | Inverda.Genealogy.Catalog_error msg
-  | Inverda.Comat.Comat_error msg
-  | Minidb.Database.Engine_error msg
-  | Minidb.Exec.Exec_error msg ->
-    Fmt.epr "error: %s@." msg;
-    1
-  | Minidb.Sql_lexer.Cursor.Parse_error msg | Minidb.Sql_lexer.Lex_error (msg, _)
-    ->
-    Fmt.epr "parse error: %s@." msg;
-    1
-  | Sys_error msg ->
-    Fmt.epr "%s@." msg;
-    2
 
 (* The durability commands that read an existing log refuse a directory
    without one: recovering it would create an empty database, so a typo in
@@ -593,10 +579,9 @@ let coherence_run smoke =
         ()
     in
     Fmt.pr
-      "TasKy: %d states x 7 points, %d queries each (%d flat relations, %d \
-       fallbacks; %d copies, %d incremental, %d maintenance rows)@."
-      r.C.states r.C.queries r.C.flat r.C.fallbacks r.C.copies r.C.incremental
-      r.C.maintenance_rows;
+      "TasKy: %d states x 6 points, %d queries each (%d copies, %d \
+       incremental, %d maintenance rows)@."
+      r.C.states r.C.queries r.C.copies r.C.incremental r.C.maintenance_rows;
     let r =
       C.check_wikimedia
         ~versions:(if smoke then 6 else 171)
@@ -604,7 +589,7 @@ let coherence_run smoke =
         ~links:(if smoke then 12 else 60)
         ()
     in
-    Fmt.pr "Wikimedia: %d states x 7 points, %d queries each (%d copies)@."
+    Fmt.pr "Wikimedia: %d states x 6 points, %d queries each (%d copies)@."
       r.C.states r.C.queries r.C.copies;
     let faults =
       C.check_faults
@@ -612,7 +597,7 @@ let coherence_run smoke =
         ?stride:(if smoke then Some 7 else None)
         ()
     in
-    Fmt.pr "fault sweep: %d materializations, %d rollback states x 7 points@."
+    Fmt.pr "fault sweep: %d materializations, %d rollback states x 6 points@."
       (List.length faults)
       (List.fold_left
          (fun n (_, (r : Scenarios.Faults.report)) ->
@@ -692,11 +677,9 @@ let verify_run demo script json mutate =
 
 (* --- telemetry commands: stats / trace / explain / advise -------------------- *)
 
-let build_instance ?(no_cache = false) ?(no_flatten = false)
-    ?(no_batch = false) demo script =
+let build_instance ?(no_cache = false) ?(no_batch = false) demo script =
   let t = I.create () in
   if no_cache then I.set_cache t false;
-  if no_flatten then I.set_flatten t false;
   if no_batch then I.set_batch t false;
   if demo then load_demo t;
   (match script with Some path -> I.evolve t (read_script path) | None -> ());
@@ -724,10 +707,9 @@ let apply_comat t = function
            let target = String.trim target in
            if target <> "" then I.comat_add t target)
 
-let stats_run demo script comat ops json openmetrics no_cache no_flatten
-    no_batch =
+let stats_run demo script comat ops json openmetrics no_cache no_batch =
   cli_errors @@ fun () ->
-  let t = build_instance ~no_cache ~no_flatten ~no_batch demo script in
+  let t = build_instance ~no_cache ~no_batch demo script in
   apply_comat t comat;
   if demo then replay_demo_traffic t ops;
   if openmetrics then print_string (I.metrics_text t)
@@ -933,13 +915,6 @@ let no_cache =
   in
   Arg.(value & flag & info [ "no-cache" ] ~doc)
 
-let no_flatten =
-  let doc =
-    "Disable the delta-code flattening pass (every derived view is the \
-     layered one-hop stack regardless of genealogy distance)."
-  in
-  Arg.(value & flag & info [ "no-flatten" ] ~doc)
-
 let no_batch =
   let doc =
     "Disable the columnar batch executor (every read runs the row-at-a-time \
@@ -960,7 +935,7 @@ let dir_req =
   Arg.(required & opt (some string) None & info [ "dir" ] ~docv:"DIR" ~doc)
 
 let shell_term =
-  Term.(const run $ demo $ no_cache $ no_flatten $ no_batch $ dir_opt)
+  Term.(const run $ demo $ no_cache $ no_batch $ dir_opt)
 
 let shell_cmd =
   let doc = "Interactive shell (the default command)" in
@@ -1113,14 +1088,14 @@ let coherence_cmd =
       `S Manpage.s_description;
       `P
         "Runs one query battery (scans, filtered projections, aggregates and \
-         self-joins over every version view) at seven points: the reference \
-         (flattening, batch executor, view cache and planner fast paths off, \
-         no co-materialized copies: the layered delta code on the row \
+         self-joins over every version view) at six points: the reference \
+         (batch executor, view cache and planner fast paths off, no \
+         co-materialized copies: the layered delta code on the row \
          interpreter), the default (every layer on, copies live) and the \
          default with each one layer off. Every point must answer exactly \
          like the reference, every copy must equal a full recomputation, \
-         and the engine state must be byte-identical across the toggles that \
-         only read. States: TasKy under all five materializations with \
+         and the engine state must be byte-identical across all points with \
+         the same copies. States: TasKy under all five materializations with \
          every derived table version copied, before and after writes; a \
          Wikimedia-style genealogy with copies, across writes and two \
          migrations; and every rollback state of a fault-injection sweep. \
@@ -1158,14 +1133,14 @@ let comat_opt =
   Arg.(value & opt (some string) None & info [ "comat" ] ~docv:"TARGETS" ~doc)
 
 let stats_cmd =
-  let doc = "Unified telemetry counters (cache, flatten fallbacks, traffic)" in
+  let doc = "Unified telemetry counters (cache, copies, traffic)" in
   let man =
     [
       `S Manpage.s_description;
       `P
         "Prints the engine's workload telemetry: view-cache hits/misses, \
-         flatten fallbacks, per-schema-version and per-table-version access \
-         counters, the observed workload profile and the latency histograms. \
+         per-schema-version and per-table-version access counters, \
+         co-materialized copies, the observed workload profile and the latency histograms. \
          $(b,--json) emits one JSON object (the schema checked in CI); \
          $(b,--openmetrics) emits the Prometheus/OpenMetrics text exposition \
          for scraping.";
@@ -1181,7 +1156,7 @@ let stats_cmd =
   Cmd.v (Cmd.info "stats" ~doc ~man)
     Term.(
       const stats_run $ demo $ script_opt $ comat_opt $ ops_opt $ json_opt
-      $ openmetrics $ no_cache $ no_flatten $ no_batch)
+      $ openmetrics $ no_cache $ no_batch)
 
 let trace_cmd =
   let limit =
@@ -1225,8 +1200,8 @@ let explain_cmd =
          bodies expanded. A SELECT that does not compile is an error (exit \
          1). Then, for every object the statement names: its role in the \
          genealogy, the Section 6 access path from its table version to the \
-         data, the flattening decision (single composed hop or layered \
-         stack), the installed view stack, the physical tables touched and \
+         data, the installed view stack (one view per SMO), the physical \
+         tables touched and \
          — for INSERT/UPDATE/DELETE — the trigger cascade the write would \
          fire. $(b,--analyze) additionally executes the statement under \
          profile tracing, prints each plan node's measured rows and time \
@@ -1323,9 +1298,8 @@ let verify_cmd =
          lens laws (GetPut and PutGet) are proved with a chase over \
          canonical instances with labeled nulls, falling back to a grounded \
          sweep, with a minimized concrete counterexample on refutation. \
-         Also reports $(b,VRF002) (overlapping UNION ALL branches in \
-         flattened delta code) and $(b,VRF003) (trigger cascades with \
-         overlapping write sets). Exits non-zero on any refuted law, \
+         Also reports $(b,VRF003) (trigger cascades with overlapping write \
+         sets). Exits non-zero on any refuted law, \
          error-severity diagnostic or surviving mutant.";
     ]
   in

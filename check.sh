@@ -11,10 +11,10 @@ dune build @lint
 dune exec bench/main.exe -- --only table2 --smoke
 # migration atomicity: strided fault-injection sweep at small scale
 dune exec bin/inverda_cli.exe -- faults --smoke
-# coherence: every optimization layer (flattening, batch executor, view
-# cache, planner fast paths, co-materialized copies) answers like the
-# layered row-interpreter reference under every TasKy materialization, a
-# migrating Wikimedia genealogy and every injected-fault rollback state
+# coherence: every optimization layer (batch executor, view cache, planner
+# fast paths, co-materialized copies) answers like the layered
+# row-interpreter reference under every TasKy materialization, a migrating
+# Wikimedia genealogy and every injected-fault rollback state
 dune exec bin/inverda_cli.exe -- coherence --smoke
 # bidirectionality: both lens laws prove for every demo SMO, the mutation
 # harness kills every single-atom mutant, and verify --json carries every
@@ -33,7 +33,7 @@ dune exec bench/main.exe -- --only formal > /dev/null
 # telemetry: the stats --json document must carry every field of its schema
 stats_json=$(dune exec bin/inverda_cli.exe -- stats --demo --json)
 for field in enabled observed_statements engine_statements trigger_hops \
-             cache flatten_fallbacks versions table_versions \
+             cache versions table_versions \
              observed_profile read_latency_ns write_latency_ns \
              latency_quantiles_ns spans comat; do
   echo "$stats_json" | grep -q "\"$field\"" \

@@ -11,8 +11,8 @@
       triggers, backfill DML) against a catalog snapshot before installation;
     - {!Verify} ([VRF0xx]) proves (or refutes, with minimized
       counterexamples) the bidirectionality laws of SMO rule sets and the
-      semantic equivalence questions behind Flatten's gates, on top of the
-      {!Symbolic} chase evaluator.
+      semantic equivalence of Datalog programs, on top of the {!Symbolic}
+      chase evaluator.
 
     The library deliberately depends only on the engine, the Datalog core and
     the BiDEL front end — not on the InVerDa runtime — so both the runtime

@@ -399,7 +399,7 @@ let ctuples_identical (a : ctuple list) (b : ctuple list) =
    replaced by the class representative (the smallest label) and the
    equality conjunct itself is re-oriented representative-first. Two chases
    that walked one join in different literal orders — the layered stack vs
-   its flattened composition — then render the same tuple identically. *)
+   its path composition — then render the same tuple identically. *)
 let normalize_ctuple (t : ctuple) : ctuple =
   let parent : (int, int) Hashtbl.t = Hashtbl.create 8 in
   let rec find i =

@@ -1,6 +1,7 @@
 (** Proving the bidirectionality laws — GetPut (condition 27) and PutGet
-    (condition 26) — for SMO instances, and deciding semantic equivalence /
-    disjointness questions for Flatten's composed rule sets.
+    (condition 26) — for SMO instances, and deciding semantic equivalence
+    of Datalog programs (the gate on the composed programs behind
+    co-materialized copies, and the mutation harness).
 
     This is the one prover of the reproduction. Two engines cooperate (see
     {!Symbolic}); for the laws, both run {!Bidel.Verify.roundtrip}:
@@ -320,12 +321,12 @@ let check_instance ?max_instances (inst : S.instance) =
     lr_putget = check_law ?max_instances inst PutGet;
   }
 
-(* --- program equivalence (Flatten's proof-backed gate) ------------------------------- *)
+(* --- program equivalence (the composition gate, the mutation harness) ------------------ *)
 
 let equivalent_on_uncached ~max_instances ~(schema : (string * int) list)
     ~(outputs : string list) ~(reference : D.t) ~(candidate : D.t) () :
     verdict =
-  let label = "flatten-equivalence" in
+  let label = "program-equivalence" in
   let fast () =
     let st = Sym.make_state () in
     let shapes = Sym.subsets schema in
@@ -385,8 +386,8 @@ let eq_memo : (Digest.t, verdict) Hashtbl.t = Hashtbl.create 64
 (** Are [reference] and [candidate] equivalent on the [outputs] predicates
     for every database over [schema]? Chase both on canonical instances
     first; sweep the grounded family when the symbolic comparison is not
-    syntactically exact. Verdicts are memoized: flatten planning asks the
-    same structural question for every regeneration of a path. *)
+    syntactically exact. Verdicts are memoized: re-deriving a copy's
+    program asks the same structural question again. *)
 let equivalent_on ?(max_instances = 20_000) ~(schema : (string * int) list)
     ~(outputs : string list) ~(reference : D.t) ~(candidate : D.t) () :
     verdict =
@@ -394,71 +395,6 @@ let equivalent_on ?(max_instances = 20_000) ~(schema : (string * int) list)
     (fun () ->
       equivalent_on_uncached ~max_instances ~schema ~outputs ~reference
         ~candidate ())
-
-(* --- UNION ALL branch disjointness ---------------------------------------------------- *)
-
-type disjointness =
-  | Disjoint of string  (** no grounding produces a tuple in two branches *)
-  | Overlap of counterexample
-  | Undecided of string
-
-let disjoint_branches_uncached ~max_instances ~(schema : (string * int) list)
-    (branches : D.rule list) : disjointness =
-  if List.length branches < 2 then Disjoint "single branch"
-  else if not (Sym.finite_fragment branches) then
-    Undecided "conditions outside the finite fragment"
-  else begin
-    let engine = Minidb.Database.create () in
-    let progs = List.map (fun r -> [ r ]) branches in
-    let head =
-      match branches with
-      | r :: _ -> r.D.head.D.pred
-      | [] ->
-        (* unreachable: the < 2 guard above already returned *)
-        invalid_arg "Verify.disjoint_branches: empty branch list"
-    in
-    let tuples prog data =
-      match List.assoc_opt head (Datalog.Eval.eval ~engine prog data) with
-      | Some ts -> ts
-      | None -> []
-    in
-    let check data =
-      let outs = List.map (fun p -> tuples p data) progs in
-      let rec pairwise = function
-        | [] -> true
-        | ts :: rest ->
-          List.for_all
-            (fun ts' ->
-              not (List.exists (fun t -> List.mem t ts') ts))
-            rest
-          && pairwise rest
-      in
-      pairwise outs
-    in
-    match Sym.sweep ~schema ~programs:[ branches ] ~max_instances ~check () with
-    | Sym.Swept n -> Disjoint (Fmt.str "grounded chase, %d instances" n)
-    | Sym.Budget n ->
-      Undecided
-        (Fmt.str "grounding family too large (%d instances > budget %d)" n
-           max_instances)
-    | Sym.Counterexample cx ->
-      let cx = Sym.minimize ~check cx in
-      Overlap
-        { cx_label = "union-branch-overlap"; cx_data = cx; cx_report = "" }
-    | exception _ -> Undecided "evaluation error during sweep"
-  end
-
-let dj_memo : (Digest.t, disjointness) Hashtbl.t = Hashtbl.create 64
-
-(** Do any two of [branches] (rules sharing one head predicate) derive a
-    common tuple on some database over [schema]? Decides the semantic
-    UNION-vs-UNION-ALL question Lemma 5's syntactic witness cannot see.
-    Only rule sets inside the finite condition fragment get a [Disjoint]
-    verdict. Memoized like {!equivalent_on}. *)
-let disjoint_branches ?(max_instances = 20_000) ~(schema : (string * int) list)
-    (branches : D.rule list) : disjointness =
-  memoized dj_memo (max_instances, schema, branches) (fun () ->
-      disjoint_branches_uncached ~max_instances ~schema branches)
 
 (* --- the mutation harness -------------------------------------------------------------- *)
 

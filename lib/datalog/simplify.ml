@@ -1,8 +1,8 @@
 (** Symbolic rule-set simplification: the five lemmas of Section 5 plus
-    subsumption. Flatten and Comat compose γ rule sets along genealogy paths
-    with it; the test suite replays the paper's Appendix A derivation for
-    SPLIT with it. Deciding whether a composition is the identity is
-    {!Analysis.Verify}'s job.
+    subsumption. [Inverda.Flatten] composes γ rule sets along genealogy
+    paths with it for co-materialized copies; the test suite replays the
+    paper's Appendix A derivation for SPLIT with it. Deciding whether a
+    composition is the identity is {!Analysis.Verify}'s job.
 
     The machinery relies on the paper's standing assumptions: the first
     argument of every atom is the unique key (Lemma 5), and condition

@@ -1,6 +1,7 @@
 (** Symbolic rule-set simplification: the five lemmas of Section 5 of the
     paper plus subsumption, used to compose γ rule sets along genealogy
-    paths (Flatten, Comat). The machinery relies on the paper's standing
+    paths into a co-materialized copy's program ([Inverda.Flatten]). The
+    machinery relies on the paper's standing
     assumptions: the first argument of every atom is the unique key
     (Lemma 5), and condition negation is the closed-world
     [NOT (COALESCE (e, FALSE))] wrapper the SMO templates produce. *)

@@ -100,21 +100,6 @@ let set_batch t b = Db.set_batch t.db b
 
 let batch_enabled t = t.db.Db.batch_enabled
 
-(** Toggle the delta-code flattening pass (enabled by default) and
-    regenerate: with it off, every derived view is the layered one-hop stack
-    regardless of genealogy distance. *)
-let set_flatten t b =
-  if t.gen.G.flatten_enabled <> b then begin
-    t.gen.G.flatten_enabled <- b;
-    Codegen.regenerate t.db t.gen;
-    Comat.rederive_all t.db t.gen
-  end
-
-(** [(relation, reason)] for every path whose composed rule set failed the
-    flattening gates (the layered fallback fired); empty when everything at
-    distance >= 2 flattened. *)
-let flatten_fallbacks t = Flatten.fallbacks t.gen
-
 let database t = t.db
 
 let genealogy t = t.gen
@@ -487,51 +472,6 @@ let verify_report t : smo_verification list =
       })
     (G.all_smos t.gen)
 
-(* extensional relations of a flattened (bottomed-out) rule set, with
-   arities read off the atoms *)
-let rules_schema (rules : Datalog.Ast.rule list) =
-  let module D = Datalog.Ast in
-  let heads = D.head_preds rules in
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (r : D.rule) ->
-      List.iter
-        (function
-          | D.Pos a | D.Neg a ->
-            if not (List.mem a.D.pred heads) then
-              Hashtbl.replace tbl a.D.pred (List.length a.D.args)
-          | D.Cond _ | D.Assign _ -> ())
-        r.D.body)
-    rules;
-  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
-
-(* VRF002: a flattened view emitted with UNION ALL whose branches the
-   verifier proves overlap — duplicates would surface. The planner only
-   picks UNION ALL on a disjointness witness, so anything here means the
-   syntactic witness (Lemma 5) and the semantic check disagree. *)
-let union_all_diagnostics t =
-  if not t.gen.G.flatten_enabled then []
-  else begin
-    let _lookup = Flatten.plan t.gen in
-    Hashtbl.fold
-      (fun name (e : G.flatten_entry) acc ->
-        match e.G.fe_outcome with
-        | G.F_flat ((_ :: _ :: _ as rules), true, _) -> (
-          match
-            Analysis.Verify.disjoint_branches ~schema:(rules_schema rules)
-              rules
-          with
-          | Analysis.Verify.Overlap cx ->
-            Analysis.Diagnostic.error "VRF002"
-              ~context:(Fmt.str "flattened view %s" name)
-              "UNION ALL branches overlap on %s; duplicate rows would surface"
-              (Analysis.Symbolic.concrete_to_string cx.Analysis.Verify.cx_data)
-            :: acc
-          | Analysis.Verify.Disjoint _ | Analysis.Verify.Undecided _ -> acc)
-        | _ -> acc)
-      t.gen.G.flatten_cache []
-  end
-
 (* physical relations the SMO's write-side triggers update under its current
    materialization *)
 let write_set (si : G.smo_instance) =
@@ -570,9 +510,8 @@ let cascade_diagnostics t =
     smos
 
 (** Every verification diagnostic for the catalog: VRF001 (law refuted,
-    error) / VRF004 (law unprovable, warning) per SMO, VRF002 (UNION ALL
-    overlap, error) per flattened view, VRF003 (cascade write-set overlap,
-    warning) per SMO pair. *)
+    error) / VRF004 (law unprovable, warning) per SMO, VRF003 (cascade
+    write-set overlap, warning) per SMO pair. *)
 let verify_diagnostics t : Analysis.Diagnostic.t list =
   List.concat_map
     (fun (si : G.smo_instance) ->
@@ -581,7 +520,7 @@ let verify_diagnostics t : Analysis.Diagnostic.t list =
           (Fmt.str "SMO #%d (%s)" si.G.si_id (Bidel.Ast.smo_name si.G.si_smo))
         si.G.si_inst)
     (G.all_smos t.gen)
-  @ union_all_diagnostics t @ cascade_diagnostics t
+  @ cascade_diagnostics t
 
 (** Do both laws prove for every SMO instance? *)
 let verify_ok t =
@@ -884,7 +823,7 @@ let replay_to ~dir changeset =
     schema version's views) as of the named changeset: the base tables are
     reconstituted at that changeset (via the checkpoint when it is old
     enough, from genesis otherwise) and the query runs through the ordinary
-    genealogy / flatten / codegen read path of the reconstituted instance.
+    genealogy / codegen read path of the reconstituted instance.
     A version created after [changeset] does not exist in that reality and
     errors like any unknown object. *)
 let as_of t ~changeset sql =

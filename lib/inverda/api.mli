@@ -50,17 +50,6 @@ val set_batch : t -> bool -> unit
 
 val batch_enabled : t -> bool
 
-val set_flatten : t -> bool -> unit
-(** Toggle the delta-code flattening pass ({!Flatten}, enabled by default)
-    and regenerate the delta code: with it off, every derived view is the
-    layered one-hop stack regardless of genealogy distance. *)
-
-val flatten_fallbacks : t -> (string * string) list
-(** [(relation, reason)] for every genealogy path whose composed rule set
-    failed a flattening gate — impure function, blow-up, safety error — so
-    the layered fallback fired. Empty when everything at distance >= 2
-    flattened. *)
-
 val database : t -> Minidb.Database.t
 (** The underlying relational engine (for direct SQL access). *)
 
@@ -150,7 +139,7 @@ val observed_profile : t -> Advisor.profile
     has been observed. *)
 
 val stats_json : t -> string
-(** Unified stats document (cache, flatten fallbacks, per-version counters,
+(** Unified stats document (cache, per-version counters, co-materialized copies,
     histograms, spans) as one JSON object. *)
 
 val stats_text : t -> string
@@ -162,7 +151,7 @@ val metrics_text : t -> string
 
 val explain : t -> string -> string
 (** The delta-code path a statement would traverse: object roles, the
-    Section 6 access path, flattening decision, installed view stack,
+    Section 6 access path, installed view stack (one view per SMO),
     physical tables touched and (for DML) the trigger cascade. *)
 
 val explain_json : t -> string -> string
@@ -195,9 +184,9 @@ val advise_observed : t -> Advisor.recommendation option
     A {e co-materialized} table version keeps a redundant physical copy next
     to the regular delta code: reads at that version hit the copy directly
     (no propagation hops), while every write anywhere in the genealogy keeps
-    the copy exact — incrementally, through per-SMO delta rules derived from
-    the same γ rule sets the flattener composes, or by full refresh when no
-    safe single-hop program exists. Copies survive MATERIALIZE atomically
+    the copy exact — incrementally, through delta rules derived from the γ
+    rule sets composed along its path ({!Flatten}), or by full refresh when
+    no safe single-hop program exists. Copies survive MATERIALIZE atomically
     and roll back with failed migrations. *)
 
 val comat_add : t -> string -> unit
@@ -268,8 +257,7 @@ val verify_report : t -> smo_verification list
 
 val verify_diagnostics : t -> Analysis.Diagnostic.t list
 (** All verification diagnostics: [VRF001] (law refuted, error) / [VRF004]
-    (law unprovable, warning) per SMO, [VRF002] (overlapping UNION ALL
-    branches, error) per flattened view, [VRF003] (trigger cascades with
+    (law unprovable, warning) per SMO, [VRF003] (trigger cascades with
     overlapping write sets, warning) per SMO pair. *)
 
 val verify_ok : t -> bool
@@ -353,7 +341,7 @@ val as_of : t -> changeset:int -> string -> Minidb.Exec.relation
 (** [as_of t ~changeset sql] — answer a query at any live schema version as
     of a past changeset: base tables are reconstituted at that changeset
     (checkpoint-accelerated when possible) and the query runs through the
-    reconstituted instance's regular genealogy / flatten / codegen read
+    reconstituted instance's regular genealogy / codegen read
     path. A version created after [changeset] errors like any unknown
     object. *)
 

@@ -238,7 +238,15 @@ let star_view emit name source =
          query = Sql.select_query (Sql.simple_select ~from:(Sql.From_table (source, None)) [ Sql.Star ]);
        })
 
+(* A key-only row has no payload to update: an UPDATE with no SET column
+   is dropped (it would not re-parse), and a body left empty gets no
+   trigger, so updating that view fails cleanly. *)
 let make_trigger emit ~target ~event body =
+  let body =
+    List.filter
+      (function Sql.Update { sets = []; _ } -> false | _ -> true)
+      body
+  in
   if body <> [] then
     emit
       (Sql.Create_trigger
@@ -442,26 +450,19 @@ let tv_trigger_body (gen : G.t) v ?arrived_via op =
 let adjacent_smos v =
   (match v.G.tv_in with Some i -> [ i ] | None -> []) @ v.G.tv_out
 
-
-
-(* The read-side view for a derived relation: the flattened (path-composed)
-   single-hop rules when the flattening pass succeeded for [name], the
-   layered one-hop [rules] otherwise. Flattened branches lose the write
-   path's mutual-exclusivity invariant, so they combine with deduplicating
-   UNION unless the flattener proved the branches pairwise disjoint. *)
-let emit_rules_view emit lookup rename ~flat ~name rules =
-  let query =
-    match flat name with
-    | G.F_flat (composed, disjoint, _) ->
-      Rule_sql.query_of_rules ~union_all:disjoint lookup ~pred:name composed
-    | G.F_physical | G.F_single | G.F_fallback _ ->
-      Rule_sql.query_of_rules lookup ~pred:name rules
-  in
+(* The read-side view for a derived relation: the one-hop [rules] of the SMO
+   it reads through — one view per SMO, the paper's layered delta code. *)
+let emit_rules_view emit lookup rename ~name rules =
   emit
     (Sql.Create_view
-       { name; or_replace = true; query = rewrite_query rename query })
+       {
+         name;
+         or_replace = true;
+         query =
+           rewrite_query rename (Rule_sql.query_of_rules lookup ~pred:name rules);
+       })
 
-let generate_tv emit (gen : G.t) lookup rename flat v =
+let generate_tv emit (gen : G.t) lookup rename v =
   let name = G.tv_name v in
   (* the read side *)
   (match G.comat gen v.G.tv_id with
@@ -504,10 +505,10 @@ let generate_tv emit (gen : G.t) lookup rename flat v =
       star_view emit name (Naming.data_table ~id:v.G.tv_id ~table:v.G.tv_table)
     | G.Forwards o ->
       let si = G.smo gen o in
-      emit_rules_view emit lookup rename ~flat ~name si.G.si_inst.S.gamma_src
+      emit_rules_view emit lookup rename ~name si.G.si_inst.S.gamma_src
     | G.Backwards i ->
       let si = G.smo gen i in
-      emit_rules_view emit lookup rename ~flat ~name si.G.si_inst.S.gamma_tgt));
+      emit_rules_view emit lookup rename ~name si.G.si_inst.S.gamma_tgt));
   (* the write side *)
   let body ?arrived_via op =
     List.map (rewrite_statement_reads rename) (tv_trigger_body gen v ?arrived_via op)
@@ -535,7 +536,7 @@ let generate_tv emit (gen : G.t) lookup rename flat v =
     (adjacent_smos v)
 
 (** Derived views for the auxiliaries that are not physical right now. *)
-let generate_aux_views emit (gen : G.t) lookup rename flat =
+let generate_aux_views emit (gen : G.t) lookup rename =
   List.iter
     (fun (si : G.smo_instance) ->
       let i = si.G.si_inst in
@@ -545,7 +546,7 @@ let generate_aux_views emit (gen : G.t) lookup rename flat =
       in
       List.iter
         (fun (r : S.rel) ->
-          emit_rules_view emit lookup rename ~flat ~name:r.S.rel_name rules)
+          emit_rules_view emit lookup rename ~name:r.S.rel_name rules)
         derived)
     (G.all_smos gen)
 
@@ -602,14 +603,8 @@ let delta_statements (gen : G.t) : Sql.statement list =
   List.iter emit (physical_statements gen);
   let lookup = schema_lookup gen in
   let rename = physical_rename gen in
-  let flat =
-    if gen.G.flatten_enabled then Flatten.plan gen
-    else fun (_ : string) -> G.F_physical
-  in
-  generate_aux_views emit gen lookup rename flat;
-  List.iter
-    (generate_tv emit gen lookup rename flat)
-    (G.all_table_versions gen);
+  generate_aux_views emit gen lookup rename;
+  List.iter (generate_tv emit gen lookup rename) (G.all_table_versions gen);
   generate_version_views emit gen;
   List.rev !acc
 

@@ -4,15 +4,15 @@
     A {e co-materialized} table version keeps, next to the regular delta
     code, a stored copy table ({!Naming.comat_table}) holding its full
     contents. Reads at that version are re-anchored at the copy (see
-    {!Codegen.physical_rename} and {!Flatten}); writes anywhere in the
-    genealogy keep the copy exact through a per-write maintenance step driven
-    by the engine's write observer:
+    {!Codegen.physical_rename}); writes anywhere in the genealogy keep the
+    copy exact through a per-write maintenance step driven by the engine's
+    write observer:
 
-    - {e incremental} mode: the copy's definition flattens to single-hop
-      rules over stored tables, so a base write of one row maintains the
-      copy via the semi-naive delta rules of {!Datalog.Delta} — evaluate the
-      candidate-key query over the post-state, then rectify each affected
-      key (delete + recompute), touching O(|delta|) rows;
+    - {e incremental} mode: the copy's definition composes to single-hop
+      rules over stored tables ({!Flatten}), so a base write of one row
+      maintains the copy via the semi-naive delta rules of {!Datalog.Delta}
+      — evaluate the candidate-key query over the post-state, then rectify
+      each affected key (delete + recompute), touching O(|delta|) rows;
     - {e refresh} mode: no safe single-hop program exists (impure skolems,
       size-gated compositions …), so every relevant base write re-runs the
       copy's source view ({!Naming.comat_source}) in full.
@@ -37,24 +37,10 @@ exception Comat_error of string
 
 let error fmt = Fmt.kstr (fun s -> raise (Comat_error s)) fmt
 
-let debug = Sys.getenv_opt "COMAT_DEBUG" <> None
-
-(* Wall clock (same as the telemetry's), not [Sys.time]: process CPU time
-   under-reports whenever maintenance blocks or the process is descheduled,
-   and the per-copy cost surfaced by EXPLAIN/stats is a wall-time budget. *)
-let exec db stmt =
-  if debug then begin
-    let t0 = Minidb.Metrics.now_ns () in
-    let r = Minidb.Exec.exec_statement db stmt in
-    Fmt.epr "[comat %6.0fus wall] %s@."
-      (float_of_int (Minidb.Metrics.now_ns () - t0) /. 1e3)
-      (Minidb.Sql_printer.statement_to_string stmt);
-    r
-  end
-  else Minidb.Exec.exec_statement db stmt
-
 let affected db stmt =
-  match exec db stmt with Minidb.Exec.Affected n -> n | _ -> 0
+  match Minidb.Exec.exec_statement db stmt with
+  | Minidb.Exec.Affected n -> n
+  | _ -> 0
 
 (* --- program derivation ------------------------------------------------------ *)
 
@@ -88,29 +74,25 @@ let derive_mode db (gen : G.t) v : G.comat_mode * string =
     ~finally:(fun () ->
       match removed with Some cm -> G.comat_register gen cm | None -> ())
     (fun () ->
-      if not gen.G.flatten_enabled then
-        (G.Cm_refresh "flattening disabled", "refresh: flattening disabled")
-      else
-        match Flatten.plan gen name with
-        | G.F_physical ->
-          (* only reachable for a physical version, which [add] refuses *)
-          (G.Cm_refresh "version is physical", "refresh: version is physical")
-        | G.F_single ->
-          let rules = mine (layered_rules gen v) in
-          if all_stored rules then
-            (G.Cm_incremental rules, "incremental: layered body is single-hop")
-          else
-            ( G.Cm_refresh "layered body reads a derived relation",
-              "refresh: layered body reads a derived relation" )
-        | G.F_flat (composed, _disjoint, proof) ->
-          let rules = mine composed in
-          if all_stored rules then
-            (G.Cm_incremental rules, "incremental: " ^ proof)
-          else
-            ( G.Cm_refresh "flattened body reads a derived relation",
-              "refresh: flattened body reads a derived relation" )
-        | G.F_fallback reason ->
-          (G.Cm_refresh reason, "refresh: " ^ reason))
+      match Flatten.plan gen name with
+      | Flatten.F_physical ->
+        (* only reachable for a physical version, which [add] refuses *)
+        (G.Cm_refresh "version is physical", "refresh: version is physical")
+      | Flatten.F_single ->
+        let rules = mine (layered_rules gen v) in
+        if all_stored rules then
+          (G.Cm_incremental rules, "incremental: layered body is single-hop")
+        else
+          ( G.Cm_refresh "layered body reads a derived relation",
+            "refresh: layered body reads a derived relation" )
+      | Flatten.F_flat (composed, proof) ->
+        let rules = mine composed in
+        if all_stored rules then
+          (G.Cm_incremental rules, "incremental: " ^ proof)
+        else
+          ( G.Cm_refresh "composed body reads a derived relation",
+            "refresh: composed body reads a derived relation" )
+      | Flatten.F_fallback reason -> (G.Cm_refresh reason, "refresh: " ^ reason))
 
 (* Secondary indexes for the maintenance probes. Per-key rectification pins
    the head key variable and the candidate query joins body atoms on their
@@ -240,7 +222,7 @@ let maintain_incremental db gen (cm : G.comat_copy) rules ~stored ~old_row
   if cand <> [] then begin
     let keys =
       match
-        exec db
+        Minidb.Exec.exec_statement db
           (Sql.Query
              (Codegen.rewrite_query rename
                 (Rule_sql.query_of_rules ~union_all:false lookup'
@@ -462,7 +444,7 @@ let rederive_all db (gen : G.t) =
 
 let sorted_rows db name =
   match
-    exec db
+    Minidb.Exec.exec_statement db
       (Sql.Query
          (Sql.select_query
             (Sql.simple_select ~from:(Sql.From_table (name, None)) [ Sql.Star ])))

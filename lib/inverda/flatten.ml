@@ -1,49 +1,46 @@
-(** Delta-code flattening: path-composed, symbolically simplified views for
-    multi-hop schema versions.
+(** Path composition for co-materialized copies: the single-hop program
+    that defines a table version directly over stored tables.
 
     A table version at genealogy distance k from its materialized sources is
-    normally read through a k-layer stack of generated views (each SMO
-    contributes one hop). This pass composes the per-SMO γ rule sets along
-    the genealogy path with {!Datalog.Simplify.compose} — both polarities,
-    auxiliary relations included — runs the lemma fixpoint, and, when the
-    result passes the analyzer's Datalog safety and stratification checks,
-    hands back a {e single-hop} rule set over the physical tables for
-    {!Codegen} to emit as one SQL view. Anything that does not compose
-    cleanly (impure functions, rule-set blow-up, a safety error) falls back
-    to the layered stack, with the reason recorded for [inverda_cli lint].
+    read through a k-layer stack of generated views (each SMO contributes
+    one hop). This pass composes the per-SMO γ rule sets along the genealogy
+    path with {!Datalog.Simplify.compose} — both polarities, auxiliary
+    relations included — runs the lemma fixpoint, and, when the result
+    passes the analyzer's Datalog safety and stratification checks and the
+    verifier's equivalence gate, hands {!Comat} a {e single-hop} rule set
+    over the physical tables to derive per-write delta rules from. Anything
+    that does not compose cleanly (impure functions, rule-set blow-up, a
+    safety error) is reported with its reason; the copy then falls back to
+    full refresh.
 
-    Outcomes are cached in the genealogy per (path, materialization)
-    footprint, so MATERIALIZE and DDL only recompose the affected paths. The
-    composed rules are variable-canonicalized, which keeps regenerated view
-    SQL byte-stable across recompositions (the fault-injection harness
-    compares whole database dumps). *)
+    The composed rules are variable-canonicalized, so re-deriving a copy's
+    program yields the same rules. *)
 
 module G = Genealogy
 module S = Bidel.Smo_semantics
 module D = Datalog.Ast
 module Simplify = Datalog.Simplify
 
-(* Guards against composition blow-up: a flattened view beyond these bounds
-   would be slower to plan and evaluate than the layered stack it replaces —
+(* Guards against composition blow-up: a composed program beyond these
+   bounds would be slower to evaluate per write than a full refresh —
    unless the verifier proves the composition equivalent to the stack, in
    which case the relaxed ceilings apply (the proof replaces the syntactic
-   heuristic; beyond the hard ceiling even a proved composition stays
-   layered). *)
+   heuristic; beyond the hard ceiling even a proved composition is
+   refused). *)
 let max_rules = 64
 let max_literals = 512
 let max_rules_proved = 4 * max_rules
 let max_literals_proved = 4 * max_literals
 
-(* budget for the equivalence / disjointness sweeps behind the proof-backed
-   gates: flattened views read a handful of physical relations, so their
-   grounded families are small; anything larger stays with the syntactic
-   verdict *)
+(* budget for the equivalence sweep behind the proof-backed gate: composed
+   programs read a handful of physical relations, so their grounded
+   families are small; anything larger stays with the syntactic verdict *)
 let proof_budget = 4_096
 
-(* Functions whose calls may appear inside a flattened (cacheable,
-   re-evaluable) view body. Mirrors the executor's pure builtins; skolem
-   functions and NEXTVAL are deliberately absent — identifier generation must
-   never be re-run by a read. *)
+(* Functions whose calls may appear inside a composed (re-evaluable)
+   program. Mirrors the executor's pure builtins; skolem functions and
+   NEXTVAL are deliberately absent — identifier generation must never be
+   re-run by copy maintenance. *)
 let pure_functions = [ "coalesce"; "nullif"; "abs"; "length"; "upper"; "lower" ]
 
 let impure_function rules =
@@ -78,6 +75,16 @@ let impure_function rules =
     rules;
   !found
 
+(** Outcome of composing one generated relation's definition. *)
+type outcome =
+  | F_physical  (** a data table backs it; nothing to compose *)
+  | F_single  (** already single-hop: the layered body reads physical tables *)
+  | F_flat of D.rule list * string
+      (** path-composed, simplified, canonical single-hop rules, and how
+          their acceptance was justified (equivalence proof from the
+          verifier, or the syntactic gates when the proof was undecided) *)
+  | F_fallback of string  (** why no single-hop program exists *)
+
 (* --- one-hop definitions ----------------------------------------------------- *)
 
 (* How a generated relation is defined right now, mirroring the case analysis
@@ -88,41 +95,13 @@ type def =
   | Derived of D.rule list  (** the one-hop defining rules *)
   | Foreign  (** not a relation this genealogy generates *)
 
-(* The cache-entry footprint of consulting one relation's definition: the
-   materialization flags and table-version adjacency it depended on. *)
-type footprint = {
-  fp_smos : (int * bool) list;
-  fp_tvs : (int * int option * int list) list;
-}
-
-let fp_empty = { fp_smos = []; fp_tvs = [] }
-
-let fp_union a b =
-  {
-    fp_smos = List.sort_uniq compare (a.fp_smos @ b.fp_smos);
-    fp_tvs = List.sort_uniq compare (a.fp_tvs @ b.fp_tvs);
-  }
-
-let smo_flag (si : G.smo_instance) = (si.G.si_id, si.G.si_materialized)
-
-let tv_row (v : G.table_version) = (v.G.tv_id, v.G.tv_in, v.G.tv_out)
-
-(* name -> (def, footprint) over the whole genealogy, as one lookup table *)
+(* name -> def over the whole genealogy, as one lookup table *)
 let definitions (gen : G.t) =
-  let defs : (string, def * footprint) Hashtbl.t = Hashtbl.create 64 in
+  let defs : (string, def) Hashtbl.t = Hashtbl.create 64 in
   (* table versions *)
   List.iter
     (fun (v : G.table_version) ->
       let name = G.tv_name v in
-      let adjacent =
-        (match v.G.tv_in with Some i -> [ i ] | None -> []) @ v.G.tv_out
-      in
-      let fp =
-        {
-          fp_smos = List.map (fun id -> smo_flag (G.smo gen id)) adjacent;
-          fp_tvs = [ tv_row v ];
-        }
-      in
       let d =
         (* A co-materialized table version is physically backed by its copy
            table: paths through it re-anchor at the copy instead of composing
@@ -142,20 +121,19 @@ let definitions (gen : G.t) =
                (fun (r : D.rule) -> r.D.head.D.pred = name)
                (G.smo gen i).G.si_inst.S.gamma_tgt)
       in
-      Hashtbl.replace defs name (d, fp))
+      Hashtbl.replace defs name d)
     (G.all_table_versions gen);
   (* auxiliary relations *)
   List.iter
     (fun (si : G.smo_instance) ->
       let i = si.G.si_inst in
-      let fp = { fp_smos = [ smo_flag si ]; fp_tvs = [] } in
       let physical, derived, rules =
         if si.G.si_materialized then
           (i.S.aux_tgt, i.S.aux_src, i.S.gamma_src)
         else (i.S.aux_src, i.S.aux_tgt, i.S.gamma_tgt)
       in
       List.iter
-        (fun (r : S.rel) -> Hashtbl.replace defs r.S.rel_name (Physical, fp))
+        (fun (r : S.rel) -> Hashtbl.replace defs r.S.rel_name Physical)
         (physical @ i.S.aux_both);
       List.iter
         (fun (r : S.rel) ->
@@ -164,77 +142,12 @@ let definitions (gen : G.t) =
               (fun (rl : D.rule) -> rl.D.head.D.pred = r.S.rel_name)
               rules
           in
-          Hashtbl.replace defs r.S.rel_name (Derived mine, fp))
+          Hashtbl.replace defs r.S.rel_name (Derived mine))
         derived)
     (G.all_smos gen);
-  fun name ->
-    match Hashtbl.find_opt defs name with
-    | Some df -> df
-    | None -> (Foreign, fp_empty)
+  fun name -> Option.value (Hashtbl.find_opt defs name) ~default:Foreign
 
-(* --- UNION ALL eligibility ---------------------------------------------------- *)
-
-(* Two composed rules are provably disjoint when their (structurally
-   identical) heads contain no anonymous terms and some atom occurs
-   positively in one body and negatively in the other, with every argument a
-   constant or a variable that (a) appears in the head — so equal head
-   tuples force equal witness bindings — and (b) sits in the key (first)
-   position of a positive body atom in both rules — keys are never NULL
-   (Lemma 5), so SQL equality in the NOT EXISTS translation coincides with
-   Datalog matching. Any tuple produced by both rules would then require the
-   witness atom to be both present and absent in the same database state.
-
-   When every pair is disjoint the emitted view combines branches with
-   UNION ALL and skips cross-branch deduplication (each branch is
-   duplicate-free on its own: {!Rule_sql} emits per-rule DISTINCT where
-   needed). *)
-
-let key_bound (r : D.rule) x =
-  List.exists
-    (function
-      | D.Pos a -> ( match a.D.args with D.Var y :: _ -> y = x | _ -> false)
-      | _ -> false)
-    r.D.body
-
-let witness_args_ok (r1 : D.rule) (r2 : D.rule) args =
-  let head_vars = D.atom_vars r1.D.head in
-  List.for_all
-    (function
-      | D.Cst _ -> true
-      | D.Anon -> false
-      | D.Var x -> List.mem x head_vars && key_bound r1 x && key_bound r2 x)
-    args
-
-let disjoint_pair (r1 : D.rule) (r2 : D.rule) =
-  r1.D.head = r2.D.head
-  && List.for_all
-       (function D.Var _ | D.Cst _ -> true | D.Anon -> false)
-       r1.D.head.D.args
-  &&
-  let witness (pos_r : D.rule) (neg_r : D.rule) =
-    List.exists
-      (function
-        | D.Pos a ->
-          List.exists
-            (function
-              | D.Neg b ->
-                a.D.pred = b.D.pred && a.D.args = b.D.args
-                && witness_args_ok pos_r neg_r a.D.args
-              | _ -> false)
-            neg_r.D.body
-        | _ -> false)
-      pos_r.D.body
-  in
-  witness r1 r2 || witness r2 r1
-
-let union_all_safe (rules : D.rule list) =
-  let rec pairs = function
-    | [] -> true
-    | r :: rest -> List.for_all (disjoint_pair r) rest && pairs rest
-  in
-  pairs rules
-
-(* --- the flattening pass ------------------------------------------------------ *)
+(* --- the composition pass ----------------------------------------------------- *)
 
 let body_refs (rules : D.rule list) =
   List.sort_uniq compare (D.body_preds rules)
@@ -242,14 +155,14 @@ let body_refs (rules : D.rule list) =
 let rule_set_size (rules : D.rule list) =
   List.fold_left (fun n (r : D.rule) -> n + 1 + List.length r.D.body) 0 rules
 
-(** The flattening outcome for every generated relation of [gen], computed
-    through (and refreshing) the genealogy's flatten cache. Returns a lookup
-    by relation name; names the genealogy does not generate map to
-    {!G.F_physical}. *)
-let plan (gen : G.t) : string -> G.flatten_outcome =
+(** The composition outcome for every generated relation of [gen]. Returns
+    a lookup by relation name, computed on demand; names the genealogy does
+    not generate map to {!F_physical}. *)
+let plan (gen : G.t) : string -> outcome =
   let def_of = definitions gen in
-  let memo : (string, G.flatten_entry) Hashtbl.t = Hashtbl.create 64 in
-  (* the layered stack a flattened rule set replaces: the one-hop definition
+  let memo : (string, outcome) Hashtbl.t = Hashtbl.create 64 in
+  let derived q = match def_of q with Derived _ -> true | _ -> false in
+  (* the layered stack a composed rule set replaces: the one-hop definition
      plus, transitively, the one-hop definitions of everything it reads *)
   let layered_program rules =
     let seen = Hashtbl.create 8 in
@@ -260,7 +173,7 @@ let plan (gen : G.t) : string -> G.flatten_outcome =
         (fun q ->
           if not (Hashtbl.mem seen q) then begin
             Hashtbl.replace seen q ();
-            match def_of q with Derived qrs, _ -> go qrs | _ -> ()
+            match def_of q with Derived qrs -> go qrs | _ -> ()
           end)
         (body_refs rs)
     in
@@ -275,11 +188,9 @@ let plan (gen : G.t) : string -> G.flatten_outcome =
       (fun (r : D.rule) ->
         List.iter
           (function
-            | D.Pos a | D.Neg a -> (
-              match def_of a.D.pred with
-              | Derived _, _ -> ()
-              | (Physical | Foreign), _ ->
-                Hashtbl.replace tbl a.D.pred (List.length a.D.args))
+            | D.Pos a | D.Neg a ->
+              if not (derived a.D.pred) then
+                Hashtbl.replace tbl a.D.pred (List.length a.D.args)
             | D.Cond _ | D.Assign _ -> ())
           r.D.body)
       prog;
@@ -287,225 +198,110 @@ let plan (gen : G.t) : string -> G.flatten_outcome =
   in
   (* Proof-backed acceptance. The verifier compares the composed rules
      against the layered stack they replace: a proof certifies the
-     flattening (and lifts the syntactic size bounds), a refutation is a
-     composition bug and keeps the stack, an undecided verdict falls back to
-     the syntactic gates. UNION ALL eligibility likewise upgrades from the
-     syntactic witness to the verifier's semantic disjointness check. *)
+     composition (and lifts the syntactic size bounds), a refutation is a
+     composition bug and refuses it, an undecided verdict falls back to the
+     syntactic gates. *)
   let accept ~name ~one_hop ~oversize canon =
     let reference = layered_program one_hop in
     let schema = physical_schema (reference @ canon) in
-    let verdict =
+    match
       Analysis.Verify.equivalent_on ~max_instances:proof_budget ~schema
         ~outputs:[ name ] ~reference ~candidate:canon ()
-    in
-    let disjoint () =
-      union_all_safe canon
-      ||
-      match
-        Analysis.Verify.disjoint_branches ~max_instances:proof_budget ~schema
-          canon
-      with
-      | Analysis.Verify.Disjoint _ -> true
-      | Analysis.Verify.Overlap _ | Analysis.Verify.Undecided _ -> false
-    in
-    match verdict with
+    with
     | Analysis.Verify.Refuted cx ->
-      G.F_fallback
+      F_fallback
         (Fmt.str "composed rules diverge from the layered stack on %s"
            (Analysis.Symbolic.concrete_to_string cx.Analysis.Verify.cx_data))
     | Analysis.Verify.Proved how ->
-      G.F_flat (canon, disjoint (), Fmt.str "equivalence proved (%s)" how)
+      F_flat (canon, Fmt.str "equivalence proved (%s)" how)
     | Analysis.Verify.Unknown why ->
       if oversize then
-        G.F_fallback
+        F_fallback
           (Fmt.str
              "composed rule set too large (%d rules, %d literals) and equivalence undecided (%s)"
              (List.length canon) (rule_set_size canon) why)
       else
-        G.F_flat
-          ( canon,
-            disjoint (),
-            Fmt.str "syntactic gates (equivalence undecided: %s)" why )
+        F_flat (canon, Fmt.str "syntactic gates (equivalence undecided: %s)" why)
   in
-  (* flattened rules usable as an inner definition for composition *)
-  let rules_of (outcome : G.flatten_outcome) (one_hop : D.rule list) =
-    match outcome with
-    | G.F_physical -> None
-    | G.F_single -> Some one_hop
-    | G.F_flat (rules, _, _) -> Some rules
-    | G.F_fallback _ -> None
-  in
-  let rec entry name visiting : G.flatten_entry =
-    match Hashtbl.find_opt memo name with
-    | Some e -> e
-    | None ->
-      let e =
-        match G.flatten_cache_find gen name with
-        | Some e -> e
-        | None ->
-          let e = compute name visiting in
-          G.flatten_cache_store gen name e;
-          e
-      in
-      Hashtbl.replace memo name e;
-      e
-  and compute name visiting : G.flatten_entry =
-    let d, fp = def_of name in
-    let finish fp outcome =
-      {
-        G.fe_smos = fp.fp_smos;
-        fe_tvs = fp.fp_tvs;
-        fe_comats = G.comat_ids gen;
-        fe_outcome = outcome;
-      }
+  (* the gates a fully composed rule set must pass *)
+  let gates ~name ~one_hop composed =
+    let oversize =
+      List.length composed > max_rules || rule_set_size composed > max_literals
     in
-    match d with
-    | Physical | Foreign -> finish fp G.F_physical
-    | Derived rules -> (
-      if List.mem name visiting then
-        (* the genealogy is a DAG and definitions point towards the
-           materialization frontier, so this is defensive only *)
-        finish fp (G.F_fallback "cyclic definition")
-      else
-        let visiting = name :: visiting in
-        match impure_function rules with
-        | Some fn ->
-          finish fp
-            (G.F_fallback (Fmt.str "calls impure function %s" fn))
-        | None -> (
-          let refs = body_refs rules in
-          let derived_refs =
-            List.filter
-              (fun q -> match def_of q with Derived _, _ -> true | _ -> false)
-              refs
+    if
+      List.length composed > max_rules_proved
+      || rule_set_size composed > max_literals_proved
+    then
+      F_fallback
+        (Fmt.str "composed rule set too large (%d rules, %d literals)"
+           (List.length composed) (rule_set_size composed))
+    else
+      match impure_function composed with
+      | Some fn ->
+        F_fallback (Fmt.str "composition introduces impure function %s" fn)
+      | None -> (
+        (* every reference must have bottomed out at a physical relation *)
+        match List.filter derived (body_refs composed) with
+        | _ :: _ as residual ->
+          F_fallback
+            (Fmt.str "residual derived reference %s"
+               (String.concat ", " residual))
+        | [] -> (
+          (* the analyzer's safety gate: range restriction, safe
+             negation/assignment, arities, stratification *)
+          let diags =
+            Analysis.check_rules ~edb:(body_refs composed)
+              ~context:(Fmt.str "composed program %s" name)
+              composed
           in
-          if derived_refs = [] then
-            (* distance <= 1: the layered body already reads physical
-               relations only; flattening would change nothing *)
-            let fp =
-              List.fold_left
-                (fun acc q -> fp_union acc (snd (def_of q)))
-                fp refs
-            in
-            finish fp G.F_single
-          else
-            (* compose each derived reference's flattened definition in *)
-            let result =
-              List.fold_left
-                (fun acc q ->
-                  match acc with
-                  | Error _ -> acc
-                  | Ok (rules, fp) -> (
-                    let qe = entry q visiting in
-                    let qfp =
-                      fp_union fp
-                        { fp_smos = qe.G.fe_smos; fp_tvs = qe.G.fe_tvs }
-                    in
-                    let _, q_def_fp = def_of q in
-                    let qfp = fp_union qfp q_def_fp in
-                    let one_hop =
-                      match def_of q with
-                      | Derived rs, _ -> rs
-                      | _ -> []
-                    in
-                    match rules_of qe.G.fe_outcome one_hop with
-                    | Some inner ->
-                      Ok
-                        ( Simplify.compose ~derived:[ q ] ~inner rules,
-                          qfp )
-                    | None -> (
-                      match qe.G.fe_outcome with
-                      | G.F_fallback why ->
-                        Error (qfp, Fmt.str "via %s: %s" q why)
-                      | _ -> Error (qfp, Fmt.str "via %s: not composable" q))))
-                (Ok (rules, fp))
-                derived_refs
-            in
-            match result with
-            | Error (fp, why) -> finish fp (G.F_fallback why)
-            | Ok (composed, fp) ->
-              let fp =
-                (* base references contribute their footprint too (their
-                   physicality is part of what the composition assumed) *)
-                List.fold_left
-                  (fun acc q -> fp_union acc (snd (def_of q)))
-                  fp
-                  (body_refs composed)
-              in
-              let oversize =
-                List.length composed > max_rules
-                || rule_set_size composed > max_literals
-              in
-              if
-                List.length composed > max_rules_proved
-                || rule_set_size composed > max_literals_proved
-              then
-                finish fp
-                  (G.F_fallback
-                     (Fmt.str "composed rule set too large (%d rules, %d literals)"
-                        (List.length composed) (rule_set_size composed)))
-              else (
-                match impure_function composed with
-                | Some fn ->
-                  finish fp
-                    (G.F_fallback
-                       (Fmt.str "composition introduces impure function %s" fn))
-                | None -> (
-                  (* every reference must have bottomed out at a physical
-                     relation *)
-                  let residual =
-                    List.filter
-                      (fun q ->
-                        match def_of q with
-                        | Derived _, _ -> true
-                        | _ -> false)
-                      (body_refs composed)
-                  in
-                  if residual <> [] then
-                    finish fp
-                      (G.F_fallback
-                         (Fmt.str "residual derived reference %s"
-                            (String.concat ", " residual)))
-                  else
-                    (* the analyzer's safety gate: range restriction, safe
-                       negation/assignment, arities, stratification *)
-                    let diags =
-                      Analysis.check_rules ~edb:(body_refs composed)
-                        ~context:(Fmt.str "flattened view %s" name)
-                        composed
-                    in
-                    match
-                      List.filter Analysis.Diagnostic.is_error diags
-                    with
-                    | d :: _ ->
-                      finish fp
-                        (G.F_fallback
-                           (Fmt.str "safety gate: %s"
-                              (Analysis.Diagnostic.to_string d)))
-                    | [] ->
-                      let canon = Simplify.canonicalize_rules composed in
-                      finish fp (accept ~name ~one_hop:rules ~oversize canon)))))
+          match List.filter Analysis.Diagnostic.is_error diags with
+          | d :: _ ->
+            F_fallback
+              (Fmt.str "safety gate: %s" (Analysis.Diagnostic.to_string d))
+          | [] ->
+            accept ~name ~one_hop ~oversize
+              (Simplify.canonicalize_rules composed)))
   in
-  fun name -> (entry name []).G.fe_outcome
-
-(** [(relation, reason)] for every generated relation at distance >= 2 whose
-    composed rule set failed a gate (i.e. where the layered fallback fired),
-    in deterministic order. *)
-let fallbacks (gen : G.t) : (string * string) list =
-  let lookup = plan gen in
-  let names =
-    List.map G.tv_name (G.all_table_versions gen)
-    @ List.concat_map
-        (fun (si : G.smo_instance) ->
-          let i = si.G.si_inst in
-          List.map
-            (fun (r : S.rel) -> r.S.rel_name)
-            (i.S.aux_src @ i.S.aux_tgt))
-        (G.all_smos gen)
+  let rec outcome name visiting =
+    match Hashtbl.find_opt memo name with
+    | Some o -> o
+    | None ->
+      let o = compute name visiting in
+      Hashtbl.replace memo name o;
+      o
+  and compute name visiting =
+    match def_of name with
+    | Physical | Foreign -> F_physical
+    | Derived _ when List.mem name visiting ->
+      (* the genealogy is a DAG and definitions point towards the
+         materialization frontier, so this is defensive only *)
+      F_fallback "cyclic definition"
+    | Derived rules -> (
+      match impure_function rules with
+      | Some fn -> F_fallback (Fmt.str "calls impure function %s" fn)
+      | None -> (
+        match List.filter derived (body_refs rules) with
+        | [] ->
+          (* distance <= 1: the layered body already reads physical
+             relations only *)
+          F_single
+        | derived_refs -> (
+          (* compose each derived reference's composed definition in *)
+          let compose_ref acc q =
+            Result.bind acc (fun rules ->
+                let inner =
+                  match (outcome q (name :: visiting), def_of q) with
+                  | F_single, Derived one_hop -> Ok one_hop
+                  | F_flat (composed, _), _ -> Ok composed
+                  | F_fallback why, _ -> Error (Fmt.str "via %s: %s" q why)
+                  | _ -> Error (Fmt.str "via %s: not composable" q)
+                in
+                Result.map
+                  (fun inner -> Simplify.compose ~derived:[ q ] ~inner rules)
+                  inner)
+          in
+          match List.fold_left compose_ref (Ok rules) derived_refs with
+          | Error why -> F_fallback why
+          | Ok composed -> gates ~name ~one_hop:rules composed)))
   in
-  List.filter_map
-    (fun name ->
-      match lookup name with
-      | G.F_fallback why -> Some (name, why)
-      | _ -> None)
-    (List.sort_uniq compare names)
+  fun name -> outcome name []

@@ -1,28 +1,25 @@
-(** Delta-code flattening: compose the per-SMO γ rule sets along the
-    genealogy path from a table version (or derived auxiliary) to its
-    materialized sources with {!Datalog.Simplify.compose}, simplify with the
-    lemma fixpoint, and hand {!Codegen} a single-hop rule set over the
-    physical tables — falling back to the layered view stack when the result
-    calls an impure function, blows up, or fails the analyzer's safety gate.
+(** Path composition for co-materialized copies: compose the per-SMO γ rule
+    sets along the genealogy path from a table version (or derived
+    auxiliary) to its stored sources with {!Datalog.Simplify.compose},
+    simplify with the lemma fixpoint, and hand {!Comat} a single-hop rule
+    set over the physical tables — or the reason there is none (an impure
+    function, blow-up, a safety error, a refuted equivalence). Reads always
+    go through the layered delta code (one view per SMO); this program only
+    drives a copy's incremental maintenance. *)
 
-    Outcomes are cached in {!Genealogy.t.flatten_cache} keyed by the
-    materialization flags and table-version adjacency each composition
-    traversed, so MATERIALIZE and DDL only recompose affected paths. *)
+type outcome =
+  | F_physical  (** a data table backs it; nothing to compose *)
+  | F_single  (** already single-hop: the layered body reads physical tables *)
+  | F_flat of Datalog.Ast.rule list * string
+      (** path-composed, simplified, canonical single-hop rules; the string
+          records how the acceptance was justified (equivalence proof from
+          the verifier, or the syntactic gates when the proof was
+          undecided) *)
+  | F_fallback of string  (** why no single-hop program exists *)
 
-val max_rules : int
-(** Composition blow-up guard: rule-count bound beyond which the pass falls
-    back to the layered stack. *)
-
-val max_literals : int
-(** Companion bound on the total literal count of a composed rule set. *)
-
-val plan : Genealogy.t -> string -> Genealogy.flatten_outcome
-(** [plan gen] computes (through the genealogy's flatten cache) the
-    flattening outcome of every generated relation and returns a lookup by
-    canonical relation name. Names the genealogy does not generate map to
-    {!Genealogy.F_physical}. *)
-
-val fallbacks : Genealogy.t -> (string * string) list
-(** [(relation, reason)] for every generated relation at genealogy distance
-    >= 2 whose composition failed a gate — i.e. where the layered fallback
-    fired — in deterministic (sorted) order. Used by [inverda_cli lint]. *)
+val plan : Genealogy.t -> string -> outcome
+(** [plan gen] returns a lookup of the composition outcome by canonical
+    relation name, computed on demand for the current catalog
+    (co-materialized table versions count as stored: paths re-anchor at
+    their copies). Names the genealogy does not generate map to
+    {!F_physical}. *)

@@ -33,30 +33,6 @@ type schema_version = {
   mutable sv_tables : (string * int) list;  (** logical name -> tv id *)
 }
 
-(** Outcome of the delta-code flattening pass for one generated relation,
-    cached here per (path, materialization) — see {!Flatten}. *)
-type flatten_outcome =
-  | F_physical  (** a data table backs it; nothing to flatten *)
-  | F_single  (** already single-hop: the layered body reads physical tables *)
-  | F_flat of Datalog.Ast.rule list * bool * string
-      (** path-composed, simplified, canonical single-hop rules; the flag is
-          true when the rules are provably pairwise disjoint, so the emitted
-          view may use UNION ALL instead of deduplicating UNION *)
-  | F_fallback of string  (** why the layered stack is kept (for lint) *)
-
-type flatten_entry = {
-  fe_smos : (int * bool) list;
-      (** materialization flags of every SMO the composition traversed, as
-          seen at compute time *)
-  fe_tvs : (int * int option * int list) list;
-      (** adjacency ([tv_in], [tv_out]) of every table version traversed —
-          guards against DDL growing the genealogy under a cached path *)
-  fe_comats : int list;
-      (** the co-materialized table versions at compute time: a copy appearing
-          or disappearing re-anchors paths, so it invalidates the entry *)
-  fe_outcome : flatten_outcome;
-}
-
 (** How a co-materialized copy is kept up to date on writes. *)
 type comat_mode =
   | Cm_incremental of Datalog.Ast.rule list
@@ -92,11 +68,6 @@ type t = {
   table_versions : (int, table_version) Hashtbl.t;
   smos : (int, smo_instance) Hashtbl.t;
   mutable versions : schema_version list;  (** in creation order *)
-  mutable flatten_enabled : bool;
-      (** emit flattened views where the pass succeeds (default true) *)
-  flatten_cache : (string, flatten_entry) Hashtbl.t;
-      (** relation name -> cached flattening; entries self-invalidate when
-          their recorded dependencies no longer match the catalog *)
   comats : (int, comat_copy) Hashtbl.t;  (** tv id -> live copy *)
   mutable comat_budget : int;
       (** advisor space budget in rows across all copies; [<= 0] = unlimited *)
@@ -114,8 +85,6 @@ let create () =
     table_versions = Hashtbl.create 32;
     smos = Hashtbl.create 32;
     versions = [];
-    flatten_enabled = true;
-    flatten_cache = Hashtbl.create 32;
     comats = Hashtbl.create 8;
     comat_budget = 0;
     comat_suspended = false;
@@ -185,50 +154,15 @@ let is_comat t id = Hashtbl.mem t.comats id
 
 let comat t id = Hashtbl.find_opt t.comats id
 
-(** Co-materialized table-version ids, sorted (the canonical order used for
-    cache validity and registration). *)
-let comat_ids t =
-  Hashtbl.fold (fun id _ acc -> id :: acc) t.comats [] |> List.sort compare
-
-let comats_list t = List.map (fun id -> Hashtbl.find t.comats id) (comat_ids t)
+(** All live copies, by table-version id. *)
+let comats_list t =
+  Hashtbl.fold (fun id cm acc -> (id, cm) :: acc) t.comats []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.map snd
 
 let comat_register t copy = Hashtbl.replace t.comats copy.cm_tv copy
 
 let comat_unregister t id = Hashtbl.remove t.comats id
-
-(* --- the flatten cache ------------------------------------------------------ *)
-
-(* An entry stays valid while every SMO its composition traversed still has
-   the recorded materialization flag and every traversed table version still
-   has the recorded adjacency. MATERIALIZE and DDL therefore only force the
-   affected paths to recompose; after a rolled-back migration restores the
-   flags, the pre-migration entries validate again and regeneration emits
-   byte-identical view SQL. *)
-let flatten_entry_valid t e =
-  List.for_all
-    (fun (id, m) ->
-      match Hashtbl.find_opt t.smos id with
-      | Some s -> s.si_materialized = m
-      | None -> false)
-    e.fe_smos
-  && List.for_all
-       (fun (id, tin, tout) ->
-         match Hashtbl.find_opt t.table_versions id with
-         | Some v -> v.tv_in = tin && v.tv_out = tout
-         | None -> false)
-       e.fe_tvs
-  && e.fe_comats = comat_ids t
-
-let flatten_cache_find t name =
-  match Hashtbl.find_opt t.flatten_cache name with
-  | Some e when flatten_entry_valid t e -> Some e
-  | Some _ ->
-    Hashtbl.remove t.flatten_cache name;
-    None
-  | None -> None
-
-let flatten_cache_store t name entry =
-  Hashtbl.replace t.flatten_cache name entry
 
 (* --- evolution ------------------------------------------------------------- *)
 
@@ -323,8 +257,8 @@ type evolution_mark = { em_next_id : int; em_versions : schema_version list }
 let evolution_mark t = { em_next_id = t.next_id; em_versions = t.versions }
 
 (* Everything an evolution creates carries an id at or above the mark's;
-   the only older state it changes is its sources' [tv_out] links, the
-   version list and the flatten cache. *)
+   the only older state it changes is its sources' [tv_out] links and the
+   version list. *)
 let rollback_evolution t m =
   let fresh id = id >= m.em_next_id in
   Hashtbl.filter_map_inplace
@@ -335,10 +269,7 @@ let rollback_evolution t m =
     (fun _ v -> v.tv_out <- List.filter (fun o -> not (fresh o)) v.tv_out)
     t.table_versions;
   t.versions <- m.em_versions;
-  t.next_id <- m.em_next_id;
-  (* the ids are handed out again: an entry about a dropped object could
-     pass the staleness check for its successor *)
-  Hashtbl.reset t.flatten_cache
+  t.next_id <- m.em_next_id
 
 let drop_schema_version t name =
   let _ = version t name in

@@ -31,31 +31,6 @@ type schema_version = {
   mutable sv_tables : (string * int) list;  (** logical name -> tv id *)
 }
 
-(** Outcome of the delta-code flattening pass ({!Flatten}) for one generated
-    relation, cached here per (path, materialization). *)
-type flatten_outcome =
-  | F_physical  (** a data table backs it; nothing to flatten *)
-  | F_single  (** already single-hop: the layered body reads physical tables *)
-  | F_flat of Datalog.Ast.rule list * bool * string
-      (** path-composed, simplified, canonical single-hop rules; the flag is
-          true when the rules are provably pairwise disjoint, so the emitted
-          view may use UNION ALL instead of deduplicating UNION; the string
-          records how the acceptance was justified (equivalence proof from
-          the verifier, or the syntactic gates when the proof was
-          undecided) *)
-  | F_fallback of string  (** why the layered stack is kept (for lint) *)
-
-type flatten_entry = {
-  fe_smos : (int * bool) list;
-      (** materialization flags of every SMO the composition traversed *)
-  fe_tvs : (int * int option * int list) list;
-      (** adjacency of every table version traversed *)
-  fe_comats : int list;
-      (** the co-materialized table versions at compute time; a change
-          invalidates the entry (copies re-anchor paths) *)
-  fe_outcome : flatten_outcome;
-}
-
 (** How a co-materialized copy is kept up to date on writes. *)
 type comat_mode =
   | Cm_incremental of Datalog.Ast.rule list
@@ -91,10 +66,6 @@ type t = {
   table_versions : (int, table_version) Hashtbl.t;
   smos : (int, smo_instance) Hashtbl.t;
   mutable versions : schema_version list;  (** in creation order *)
-  mutable flatten_enabled : bool;
-      (** emit flattened views where the pass succeeds (default true) *)
-  flatten_cache : (string, flatten_entry) Hashtbl.t;
-      (** relation name -> cached flattening *)
   comats : (int, comat_copy) Hashtbl.t;  (** tv id -> live copy *)
   mutable comat_budget : int;
       (** advisor space budget in rows across all copies; [<= 0] = unlimited *)
@@ -169,8 +140,8 @@ val evolution_mark : t -> evolution_mark
 val rollback_evolution : t -> evolution_mark -> unit
 (** Take back every schema version, table version and SMO instance created
     since the mark: remove them, unlink the removed SMOs from their sources'
-    [tv_out], restore [next_id] (the ids are handed out again, as a
-    recovered catalog would) and empty the flatten cache. *)
+    [tv_out] and restore [next_id] (the ids are handed out again, as a
+    recovered catalog would). *)
 
 val drop_schema_version : t -> string -> unit
 (** Removes the version from the catalog; SMO instances and table versions
@@ -213,23 +184,10 @@ val is_comat : t -> int -> bool
 
 val comat : t -> int -> comat_copy option
 
-val comat_ids : t -> int list
-(** Co-materialized table-version ids, sorted (the canonical order used for
-    cache validity and registration). *)
-
 val comats_list : t -> comat_copy list
-(** All live copies, in [comat_ids] order. *)
+(** All live copies, by table-version id. *)
 
 val comat_register : t -> comat_copy -> unit
 
 val comat_unregister : t -> int -> unit
 
-(** {1 The flatten cache} *)
-
-val flatten_cache_find : t -> string -> flatten_entry option
-(** Cached flattening entry for a relation name, provided every SMO flag
-    and every table-version adjacency its composition traversed is
-    unchanged; stale entries are dropped. MATERIALIZE and DDL therefore only
-    force the affected paths to recompose. *)
-
-val flatten_cache_store : t -> string -> flatten_entry -> unit

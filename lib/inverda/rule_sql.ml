@@ -203,9 +203,10 @@ let query_of_rules ?(union_all = true) (lookup : schema_lookup) ~pred
        SMO mutually exclusive (e.g. R* is cleared whenever cR holds again),
        so by default branches combine with UNION ALL; branches that may
        self-duplicate carry their own DISTINCT from select_of_rule.
-       Path-composed (flattened) rule sets lose that invariant — negative
-       unfolding produces alternatives that can overlap — so flattened views
-       pass [~union_all:false] for set semantics across branches. *)
+       Path-composed rule sets lose that invariant — negative unfolding
+       produces alternatives that can overlap — so a co-materialized copy's
+       composed program passes [~union_all:false] for set semantics across
+       branches. *)
     let body =
       List.fold_left
         (fun acc r ->

@@ -31,6 +31,6 @@ val query_of_rules :
   Minidb.Sql_ast.query
 (** The query computing [pred] from its rules; an empty-relation select when
     no rule derives it. [union_all] (default [true]) relies on the write
-    path keeping the per-head branches mutually exclusive; flattened
-    (path-composed) rule sets pass [false], since composition does not
+    path keeping the per-head branches mutually exclusive; path-composed
+    rule sets ({!Flatten}) pass [false], since composition does not
     preserve that invariant. *)

@@ -4,8 +4,8 @@
     advisor needs from observed traffic, renders unified stats (text and
     JSON), serializes statement spans as JSON lines, and implements EXPLAIN —
     the plan the executor compiles for a query, plus the delta-code path a
-    statement traverses, reconstructed from the genealogy, the flattening
-    pass and the installed catalog. *)
+    statement traverses, reconstructed from the genealogy and the installed
+    catalog. *)
 
 module G = Genealogy
 module Db = Minidb.Database
@@ -213,14 +213,13 @@ let histogram_json h =
   ^ "]"
 
 (** The unified stats document: telemetry switch, statement counts,
-    view-cache hits/misses, flatten fallbacks, per-version and
+    view-cache hits/misses, per-version and
     per-table-version counters, the observed profile and both latency
     histograms. This is the [inverda_cli stats --json] payload; its field
     set is checked by [check.sh]. *)
 let stats_json (db : Db.t) (gen : G.t) =
   let m = db.Db.metrics in
   let hits, misses = Db.cache_stats db in
-  let fallbacks = Flatten.fallbacks gen in
   let buf = Buffer.create 1024 in
   let add fmt = Fmt.kstr (Buffer.add_string buf) fmt in
   add "{";
@@ -229,12 +228,6 @@ let stats_json (db : Db.t) (gen : G.t) =
   add "\"engine_statements\":%d," db.Db.statements_executed;
   add "\"trigger_hops\":%d," m.M.trigger_hops_total;
   add "\"cache\":{\"hits\":%d,\"misses\":%d}," hits misses;
-  add "\"flatten_fallbacks\":[%s],"
-    (String.concat ","
-       (List.map
-          (fun (rel, reason) ->
-            Fmt.str "{\"relation\":%s,\"reason\":%s}" (jstr rel) (jstr reason))
-          fallbacks));
   add "\"versions\":[%s],"
     (String.concat ","
        (List.map
@@ -301,7 +294,6 @@ let pct part total =
 let stats_text (db : Db.t) (gen : G.t) =
   let m = db.Db.metrics in
   let hits, misses = Db.cache_stats db in
-  let fallbacks = Flatten.fallbacks gen in
   let buf = Buffer.create 1024 in
   let add fmt = Fmt.kstr (Buffer.add_string buf) fmt in
   add "telemetry: %s@." (if m.M.enabled then "enabled" else "disabled");
@@ -310,11 +302,6 @@ let stats_text (db : Db.t) (gen : G.t) =
   add "trigger hops: %d@." m.M.trigger_hops_total;
   add "view cache: %d hits / %d misses (%.1f%% hit rate)@." hits misses
     (pct hits (hits + misses));
-  (match fallbacks with
-  | [] -> add "flatten fallbacks: none@."
-  | fs ->
-    add "flatten fallbacks: %d@." (List.length fs);
-    List.iter (fun (rel, reason) -> add "  %s: %s@." rel reason) fs);
   (match G.comats_list gen with
   | [] -> add "co-materialized copies: none@."
   | copies ->
@@ -457,18 +444,6 @@ let rec genealogy_path (gen : G.t) visited (v : G.table_version) emit indent =
         (fun s -> genealogy_path gen visited (G.tv gen s) emit (indent + 1))
         si.G.si_source_tvs
   end
-
-let flatten_text (outcome : G.flatten_outcome) =
-  match outcome with
-  | G.F_physical -> "physical (data table pass-through; nothing to flatten)"
-  | G.F_single -> "single-hop already (layered body reads physical tables)"
-  | G.F_flat (rules, disjoint, proof) ->
-    Fmt.str "flattened single hop: %d composed rule(s), %s; accepted by %s"
-      (List.length rules)
-      (if disjoint then "UNION ALL (provably disjoint)"
-       else "deduplicating UNION")
-      proof
-  | G.F_fallback reason -> Fmt.str "layered stack kept: %s" reason
 
 (* The installed view stack under a name: what the executor actually expands,
    view by view, down to stored tables. *)
@@ -654,7 +629,6 @@ let explain_stmt ?trace (db : Db.t) (gen : G.t) stmt plan =
   let buf = Buffer.create 1024 in
   let add fmt = Fmt.kstr (Buffer.add_string buf) fmt in
   let emit line = Buffer.add_string buf (line ^ "\n") in
-  let flat = if gen.G.versions = [] then fun _ -> G.F_physical else Flatten.plan gen in
   let explain_object ?write_event name =
     let k = key name in
     let role, tv_info = role_of db gen k in
@@ -663,7 +637,6 @@ let explain_stmt ?trace (db : Db.t) (gen : G.t) stmt plan =
     | Some v ->
       add " genealogy access path:@.";
       genealogy_path gen [] v emit 1;
-      add " flattening: %s@." (flatten_text (flat (G.tv_name v)));
       (match G.comat gen v.G.tv_id with
       | Some cm when not (G.is_physical gen v) ->
         add
@@ -724,8 +697,7 @@ let explain_stmt ?trace (db : Db.t) (gen : G.t) stmt plan =
 
 (** EXPLAIN one SQL statement: for a query, the plan the executor compiles
     for it; for every object it names, the role of that object in the
-    genealogy, the access path to the data, the flattening decision, the
-    installed view stack, the physical tables touched and — for writes —
+    genealogy, the access path to the data, the installed view stack, the physical tables touched and — for writes —
     the trigger cascade. Returns human-readable text; raises the executor's
     error when a query does not compile. *)
 let explain (db : Db.t) (gen : G.t) sql =
@@ -734,12 +706,11 @@ let explain (db : Db.t) (gen : G.t) sql =
 
 (** EXPLAIN as a JSON object: statement kind, named targets, the objects the
     compiled plan reads with their access paths, per-target role /
-    flattening / physical bases, and the rendered text for everything
+    physical bases, and the rendered text for everything
     path-shaped. *)
 let explain_json (db : Db.t) (gen : G.t) sql =
   let stmt = Minidb.Sql_parser.statement_of_string sql in
   let plan = query_plan db stmt in
-  let flat = if gen.G.versions = [] then fun _ -> G.F_physical else Flatten.plan gen in
   let kind, targets =
     match stmt with
     | Sql.Query q -> ("query", Minidb.Exec.query_targets q)
@@ -751,11 +722,6 @@ let explain_json (db : Db.t) (gen : G.t) sql =
   let target_json name =
     let k = key name in
     let role, tv = role_of db gen k in
-    let flattening =
-      match tv with
-      | Some v -> jstr (flatten_text (flat (G.tv_name v)))
-      | None -> "null"
-    in
     let tv_id = match tv with Some v -> string_of_int v.G.tv_id | None -> "null" in
     let comat =
       match tv with
@@ -766,8 +732,8 @@ let explain_json (db : Db.t) (gen : G.t) sql =
       | None -> "null"
     in
     Fmt.str
-      "{\"object\":%s,\"role\":%s,\"tv\":%s,\"flattening\":%s,\"comat\":%s,\"physical_tables\":[%s]}"
-      (jstr k) (jstr role) tv_id flattening comat
+      "{\"object\":%s,\"role\":%s,\"tv\":%s,\"comat\":%s,\"physical_tables\":[%s]}"
+      (jstr k) (jstr role) tv_id comat
       (String.concat "," (List.map jstr (physical_bases db gen k)))
   in
   let access_paths =

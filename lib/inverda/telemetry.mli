@@ -48,7 +48,7 @@ val trace_tree_text : Minidb.Metrics.trace -> string
 
 val stats_json : Minidb.Database.t -> Genealogy.t -> string
 (** The unified stats document ([inverda_cli stats --json]): switch state,
-    statement counts, cache hits/misses, flatten fallbacks, per-version and
+    statement counts, cache hits/misses, per-version and
     per-table-version counters, observed profile, latency histograms, span
     ring occupancy. *)
 
@@ -57,9 +57,9 @@ val stats_text : Minidb.Database.t -> Genealogy.t -> string
 val explain : Minidb.Database.t -> Genealogy.t -> string -> string
 (** [explain db gen sql]: for a query, the plan the executor compiles for it
     ({!Minidb.Exec.plan}); for every object the statement names — its role
-    in the genealogy, the Section 6 access path to the data, the flattening
-    decision, the installed view stack, the physical tables touched, and for
-    DML the trigger cascade. Raises on unparsable SQL, and with the
+    in the genealogy, the Section 6 access path to the data, the installed
+    view stack (one view per SMO), the physical tables touched, and for DML
+    the trigger cascade. Raises on unparsable SQL, and with the
     executor's own [Exec_error] on a query that does not compile. *)
 
 val explain_json : Minidb.Database.t -> Genealogy.t -> string -> string

@@ -3,30 +3,22 @@
 
     At every checked state one query battery — [SELECT *], a filtered
     projection, [COUNT]/[MIN] and a self-join over every version view — runs
-    at seven points:
+    at six points:
 
-    - the {e reference}: flattening, the batch executor, the view-result
-      cache and the planner fast paths ({!Minidb.Database.optimizations})
-      all off and no co-materialized copies — the paper's one view per SMO,
-      read by the row interpreter;
+    - the {e reference}: the batch executor, the view-result cache and the
+      planner fast paths ({!Minidb.Database.optimizations}) all off and no
+      co-materialized copies — the paper's one view per SMO, read by the row
+      interpreter;
     - the {e default}: every layer on, copies live;
-    - five one-off points, each the default with exactly one layer off.
+    - four one-off points, each the default with exactly one layer off.
 
     Every point must answer exactly like the reference (rows sorted: the
     executors scan in different physical orders by design); where the cache
     is on, each query runs twice and the second, cache-served answer is the
     one compared. Every copy must also equal a full recomputation
-    ({!Inverda.Comat.check}); the full dump must be byte-identical at the
-    default, batch-off, cache-off and fast-paths-off points (reading never
-    disturbs state); and the dump outside [VIEW] lines must be
-    byte-identical at the two copy-free points, flattened and layered.
-
-    The flatten-off point runs after the full-dump points, and the copies
-    are dropped before flattening comes back on: toggling flattening off and
-    on again while copies are live re-derives their maintenance programs
-    with every other copy registered, which can add a probe index to a copy
-    table. No answer can observe that index, so the flatten-off point's dump
-    is not compared. *)
+    ({!Inverda.Comat.check}), and the full dump must be byte-identical at
+    every point with the same copies setting (reading never disturbs
+    state). The copy-free points run last. *)
 
 module I = Inverda.Api
 module G = Inverda.Genealogy
@@ -36,20 +28,19 @@ exception Coherence_failure of string
 
 let fail fmt = Fmt.kstr (fun s -> raise (Coherence_failure s)) fmt
 
-(* --- the seven points ----------------------------------------------------- *)
+(* --- the six points ------------------------------------------------------- *)
 
-type layer = Flatten | Batch | Cache | Fast_paths | Copies
+type layer = Batch | Cache | Fast_paths | Copies
 
-(* Each point names the layers it switches off, in run order (see the module
-   comment for why flatten-off and the copy-free points come last). *)
+(* Each point names the layers it switches off, in run order: the copy-free
+   points come last, so the copies are dropped once per state. *)
 let points =
   [
     ("default", []);
     ("batch-off", [ Batch ]);
     ("cache-off", [ Cache ]);
     ("fast-paths-off", [ Fast_paths ]);
-    ("flatten-off", [ Flatten ]);
-    ("reference", [ Flatten; Batch; Cache; Fast_paths; Copies ]);
+    ("reference", [ Batch; Cache; Fast_paths; Copies ]);
     ("copies-off", [ Copies ]);
   ]
 
@@ -57,7 +48,6 @@ let points =
    point is served results computed under another. *)
 let configure api off =
   let on l = not (List.mem l off) in
-  I.set_flatten api (on Flatten);
   I.set_batch api (on Batch);
   I.set_cache api false;
   I.set_cache api (on Cache);
@@ -107,15 +97,6 @@ let battery ~where ~twice api =
         sv.G.sv_tables)
     (I.genealogy api).G.versions
 
-(** The dump with all [VIEW ...] lines removed: tables, rows, indexes,
-    triggers and sequences — everything flattening must not touch. *)
-let data_dump api =
-  I.dump api
-  |> String.split_on_char '\n'
-  |> List.filter (fun line ->
-         not (String.length line >= 5 && String.sub line 0 5 = "VIEW "))
-  |> String.concat "\n"
-
 (* --- one state ------------------------------------------------------------ *)
 
 (* "Version.Table" naming a copy's table version (any owning version will
@@ -131,20 +112,17 @@ let target_of api (cm : G.comat_copy) =
   |> Option.get
 
 type report = {
-  states : int;  (** states checked, each at all seven points *)
+  states : int;  (** states checked, each at all six points *)
   queries : int;  (** battery queries per point at the last state *)
-  flat : int;  (** relations emitted flattened at the default point, summed *)
-  fallbacks : int;  (** layered fallbacks at the default point, summed *)
   copies : int;  (** copies registered at the last state (live or dormant) *)
   incremental : int;  (** of those, incrementally maintained *)
   maintenance_rows : int;  (** rows written by their maintenance *)
 }
 
 let empty =
-  { states = 0; queries = 0; flat = 0; fallbacks = 0; copies = 0;
-    incremental = 0; maintenance_rows = 0 }
+  { states = 0; queries = 0; copies = 0; incremental = 0; maintenance_rows = 0 }
 
-(** Run the battery at all seven points of the instance's current state and
+(** Run the battery at all six points of the instance's current state and
     raise {!Coherence_failure} naming [label], the point and the query on
     the first divergence. Leaves every layer on and the copies registered
     again (dormant copies — their version is physical right now — are never
@@ -164,7 +142,7 @@ let check ~label api acc =
     | () -> None
     | exception Inverda.Comat.Comat_error msg -> Some msg
   in
-  let flat = ref 0 and fallbacks = ref 0 and copies_on = ref true in
+  let copies_on = ref true in
   let runs =
     List.map
       (fun (name, off) ->
@@ -176,24 +154,11 @@ let check ~label api acc =
             live;
           copies_on := on Copies
         end;
-        if off = [] then begin
-          flat :=
-            Hashtbl.fold
-              (fun _ (e : G.flatten_entry) n ->
-                match e.G.fe_outcome with G.F_flat _ -> n + 1 | _ -> n)
-              gen.G.flatten_cache 0;
-          fallbacks := List.length (I.flatten_fallbacks api)
-        end;
         let answers =
           battery ~where:(Fmt.str "%s: %s point" label name) ~twice:(on Cache)
             api
         in
-        let dump =
-          if not (on Copies) then Some (data_dump api)
-          else if on Flatten then Some (I.dump api)
-          else None
-        in
-        (name, on Copies, answers, dump))
+        (name, on Copies, answers, I.dump api))
       points
   in
   configure api [];
@@ -219,19 +184,15 @@ let check ~label api acc =
   (* each dump against the first one taken with the same copies setting *)
   List.iter
     (fun (name, copies, _, dump) ->
-      match (dump, List.find (fun (_, c, _, d) -> c = copies && d <> None) runs)
-      with
-      | Some d, (name0, _, _, Some d0) when d <> d0 ->
+      let name0, _, _, dump0 = List.find (fun (_, c, _, _) -> c = copies) runs in
+      if dump <> dump0 then
         fail "%s: %s point: dump differs from the %s point (first diff: %s)"
-          label name name0 (Faults.first_diff_line d0 d)
-      | _ -> ())
+          label name name0 (Faults.first_diff_line dump0 dump))
     runs;
   let copies = I.comat_list api in
   {
     states = acc.states + 1;
     queries = List.length reference;
-    flat = acc.flat + !flat;
-    fallbacks = acc.fallbacks + !fallbacks;
     copies = List.length copies;
     incremental =
       List.length
@@ -318,7 +279,7 @@ let check_wikimedia ?(versions = 6) ?(pages = 8) ?(links = 12) () =
   check ~label:("wikimedia at " ^ last) api acc
 
 (** The step-indexed TasKy fault-injection sweep ({!Faults.sweep}) with two
-    copies live and all seven points checked before the migration, after
+    copies live and all six points checked before the migration, after
     every injected fault's rollback, and after the successful migration.
     Returns the per-materialization sweep reports in enumeration order. *)
 let check_faults ?(tasks = 8) ?stride () =

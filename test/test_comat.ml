@@ -128,11 +128,10 @@ let test_advise_comat_budget () =
 (* --- regression: fallback stacks re-anchor at a copy (satellite 3) ----------- *)
 
 let test_fallback_reanchors_at_copy () =
-  (* versions=12 pushes the deep page chain past the flattener's hard
-     ceiling: the far end runs on the layered fallback stack (the IVD011
-     lint). A copy at an intermediate version must truncate that stack —
-     the far view's base closure re-anchors at the copy table instead of
-     walking every hop back to the physical root. *)
+  (* versions=12 makes the deep page chain a long layered stack. A copy at
+     an intermediate version must truncate that stack — the far view's base
+     closure re-anchors at the copy table instead of walking every hop back
+     to the physical root. *)
   let t, names = Scenarios.Wikimedia.build ~versions:12 () in
   let gen = I.genealogy t in
   let page_tv v =
@@ -143,8 +142,6 @@ let test_fallback_reanchors_at_copy () =
   in
   let last = names.(Array.length names - 1) in
   let far = G.tv_name (G.tv gen (page_tv last)) in
-  Alcotest.(check bool) "deep chain fell back (IVD011)" true
-    (List.mem_assoc far (I.flatten_fallbacks t));
   let closure name = Inverda.Viewcache.closure (I.genealogy t) name in
   let is_copy b = String.length b > 3 && String.sub b 0 3 = "cm!" in
   Alcotest.(check bool) "no copy in the stack yet" true
@@ -190,6 +187,40 @@ let test_fallback_reanchors_at_copy () =
     I.comat_drop t (v ^ ".page");
     Alcotest.(check bool) "same answers without the copy" true
       (with_copy = far_rows ()))
+
+(* --- proof-backed gating of a copy's composed program --------------------------- *)
+
+let test_proof_backed_gating () =
+  (* a deep ADD COLUMN chain composes to 64 rules / ~700 literals — past the
+     syntactic blow-up gate — and the copy is still maintained incrementally,
+     because the verifier proves the composed rules equivalent to the
+     layered stack; beyond the 4x hard ceiling the copy is fully refreshed *)
+  let t, _ = Scenarios.Wikimedia.build ~versions:12 () in
+  let gen = I.genealogy t in
+  let copy version =
+    let tvid = List.assoc "page" (G.version gen version).G.sv_tables in
+    I.comat_add t (version ^ ".page");
+    (G.tv_name (G.tv gen tvid), Option.get (G.comat gen tvid))
+  in
+  let name, cm = copy "v009" in
+  Alcotest.(check string) "far copy" "tv!22!page" name;
+  (match cm.G.cm_mode with
+  | G.Cm_refresh why ->
+    Alcotest.(check string) "hard ceiling"
+      "composed rule set too large (256 rules, 3584 literals)" why
+  | G.Cm_incremental _ -> Alcotest.fail "tv!22!page composed past the ceiling");
+  I.comat_drop t "v009.page";
+  let name, cm = copy "v007" in
+  Alcotest.(check string) "deep copy" "tv!18!page" name;
+  (match cm.G.cm_mode with
+  | G.Cm_incremental rules ->
+    Alcotest.(check int) "deep chain composed" 64 (List.length rules)
+  | G.Cm_refresh why -> Alcotest.failf "tv!18!page refreshed: %s" why);
+  Alcotest.(check string) "accepted by proof, not syntactic gates"
+    "incremental: equivalence proved (symbolic chase, canonical instances)"
+    cm.G.cm_proof;
+  Scenarios.Wikimedia.load t ~version:"v001" ~pages:3 ~links:3;
+  I.comat_check t
 
 (* --- copies survive evolution and migration ---------------------------------- *)
 
@@ -242,6 +273,8 @@ let () =
           tc "advise_comat budget" test_advise_comat_budget;
           tc "fallback re-anchors at copy" test_fallback_reanchors_at_copy;
         ] );
+      ( "copies",
+        [ tc "proof-backed gating on deep chains" test_proof_backed_gating ] );
       ( "lifecycle",
         [ tc "copy survives evolution and drop" test_copy_survives_evolution ] );
     ]

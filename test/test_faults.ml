@@ -152,9 +152,8 @@ let test_cache_coherent_after_failed_migration () =
 (* --- satellite: telemetry coherence across migrations ------------------------ *)
 
 (* Everything a migration must not disturb: the per-version workload counters
-   and the span sequence. Cache statistics and flatten fallbacks are
-   deliberately excluded — migration data movement legitimately changes
-   those. *)
+   and the span sequence. Cache statistics are deliberately excluded —
+   migration data movement legitimately changes them. *)
 let telemetry_snapshot t =
   let db = I.database t in
   let counters =

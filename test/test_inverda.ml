@@ -546,19 +546,38 @@ let smo_error = function
   | Bidel.Smo_semantics.Semantics_error _ -> true
   | _ -> false
 
+let injected_fault = function
+  | Minidb.Database.Injected_fault _ -> true
+  | _ -> false
+
 let test_rejected_delta_code () =
-  (* a table left with no payload column gets triggers that do not re-parse
-     (IVD001); the rejected version must not linger and break the next
-     evolutions, the DROP SCHEMA VERSION of the rejected name, or recovery *)
+  (* an evolution that fails while its delta code is being installed — its
+     tables and backfill already exist — must not linger and break the next
+     evolutions, the DROP SCHEMA VERSION of the rejected name, or recovery.
+     The fault hits the last statement the evolution executes, counted on a
+     twin instance. *)
+  let setup t =
+    I.evolve t "CREATE SCHEMA VERSION v1 WITH CREATE TABLE t (a);";
+    ignore (I.exec_sql t "INSERT INTO v1.t (a) VALUES (7)")
+  in
+  let bad =
+    "CREATE SCHEMA VERSION v2 FROM v1 WITH DROP COLUMN a FROM t DEFAULT 1;"
+  in
+  let statements =
+    let twin = I.create () in
+    setup twin;
+    let executed () = (I.database twin).Minidb.Database.statements_executed in
+    let before = executed () in
+    I.evolve twin bad;
+    executed () - before
+  in
   let dir = Scenarios.Faults.fresh_dir () in
   Fun.protect ~finally:(fun () -> Scenarios.Faults.rm_rf dir) @@ fun () ->
   let t = I.create () in
   I.attach_wal t dir;
-  I.evolve t "CREATE SCHEMA VERSION v1 WITH CREATE TABLE t (a);";
-  ignore (I.exec_sql t "INSERT INTO v1.t (a) VALUES (7)");
-  check_rejected_cleanly t
-    ~bad:"CREATE SCHEMA VERSION v2 FROM v1 WITH DROP COLUMN a FROM t DEFAULT 1;"
-    ~expected:(rejected_by "IVD001")
+  setup t;
+  Minidb.Database.set_failpoint (I.database t) statements;
+  check_rejected_cleanly t ~bad ~expected:injected_fault
     ~good:"CREATE SCHEMA VERSION v3 FROM v1 WITH ADD COLUMN b AS 1 INTO t;";
   (match I.evolve t "DROP SCHEMA VERSION v2;" with
   | exception Inverda.Genealogy.Catalog_error _ -> ()
@@ -573,6 +592,40 @@ let test_rejected_delta_code () =
   I.detach_wal r;
   Alcotest.(check string) "recovered describe" (I.describe t) (I.describe r);
   Alcotest.(check string) "recovered dump" (I.dump t) (I.dump r)
+
+let test_key_only_table () =
+  (* DROP COLUMN of a table's only payload column leaves rows that are just
+     their key: nothing to update, so no UPDATE is generated for them, and
+     the version evolves, writes propagate, and migration keeps every
+     version's answers *)
+  let t = I.create () in
+  I.evolve t "CREATE SCHEMA VERSION v1 WITH CREATE TABLE t (a);";
+  I.evolve t
+    "CREATE SCHEMA VERSION v2 FROM v1 WITH DROP COLUMN a FROM t DEFAULT 1;";
+  ignore (I.exec_sql t "INSERT INTO v2.t (p) VALUES (7)");
+  ignore (I.exec_sql t "INSERT INTO v1.t (p, a) VALUES (8, 5)");
+  check_rows "v1 reads the default" [ [ "7"; "1" ]; [ "8"; "5" ] ]
+    (I.query_rows t "SELECT p, a FROM v1.t");
+  ignore (I.exec_sql t "DELETE FROM v2.t WHERE p = 8");
+  check_rows "delete propagates" [ [ "7"; "1" ] ]
+    (I.query_rows t "SELECT p, a FROM v1.t");
+  I.evolve t "CREATE SCHEMA VERSION v3 FROM v2 WITH ADD COLUMN b AS 2 INTO t;";
+  let answers () =
+    List.map
+      (fun sql -> List.sort compare (I.query_rows t sql))
+      [ "SELECT p, a FROM v1.t"; "SELECT p FROM v2.t"; "SELECT p, b FROM v3.t" ]
+  in
+  let before = answers () in
+  I.materialize t [ "v2" ];
+  Alcotest.(check bool) "MATERIALIZE v2 keeps every answer" true
+    (before = answers ());
+  I.materialize t [ "v1" ];
+  Alcotest.(check bool) "and back" true (before = answers ());
+  match I.exec_sql t "UPDATE v2.t SET p = 9 WHERE p = 7" with
+  | _ -> Alcotest.fail "a key-only view accepted an UPDATE"
+  | exception Minidb.Exec.Exec_error msg ->
+    Alcotest.(check string) "no update trigger"
+      "cannot update view v2.t (no INSTEAD OF trigger)" msg
 
 let test_rejected_law () =
   (* strict mode refutes PutGet of JOIN ON FOREIGN KEY (VRF001) *)
@@ -647,6 +700,7 @@ let () =
           tc "delta code (IVD001)" test_rejected_delta_code;
           tc "lens law (VRF001)" test_rejected_law;
           tc "duplicate or key column" test_rejected_columns;
+          tc "key-only table evolves" test_key_only_table;
         ] );
       ( "extensions",
         [

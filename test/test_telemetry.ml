@@ -187,7 +187,7 @@ let test_stats_documents () =
       Alcotest.(check bool) (Fmt.str "stats_json has %S" k) true (contains js k))
     [
       "enabled"; "observed_statements"; "engine_statements"; "trigger_hops";
-      "cache"; "flatten_fallbacks"; "versions"; "table_versions";
+      "cache"; "versions"; "table_versions";
       "observed_profile"; "read_latency_ns"; "write_latency_ns"; "spans";
       "latency_quantiles_ns"; "\"p50\""; "\"p95\""; "\"p99\"";
     ];
@@ -206,8 +206,23 @@ let test_explain_select () =
     (contains out "version view");
   Alcotest.(check bool) "names the version" true (contains out "TasKy2");
   Alcotest.(check bool) "shows a physical table" true (contains out "d!");
-  Alcotest.(check bool) "shows a flattening decision" true
-    (contains out "flattening:");
+  (* Do!.Todo is two SMOs from the physical Task table (SPLIT, then DROP
+     COLUMN): its installed view stack is one view per SMO *)
+  let stack =
+    I.explain t "SELECT task FROM Do!.Todo"
+    |> String.split_on_char '\n'
+    |> List.filter_map (fun line ->
+           match String.split_on_char ' ' (String.trim line) with
+           | [ "view"; name ] -> Some name
+           | _ -> None)
+  in
+  let position name =
+    match List.find_index (String.equal name) stack with
+    | Some i -> i
+    | None -> Alcotest.failf "%s missing from the view stack" name
+  in
+  Alcotest.(check bool) "tv!5!todo above tv!3!todo" true
+    (position "tv!5!todo" < position "tv!3!todo");
   Alcotest.(check bool) "shows the access path" true
     (contains out "genealogy access path");
   Alcotest.(check bool) "prints the compiled plan" true

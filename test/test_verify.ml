@@ -33,7 +33,7 @@ let test_tasky_proves () =
   let t = Scenarios.Tasky.setup_full ~tasks:5 () in
   check_catalog "tasky" t;
   Alcotest.(check bool) "verify_ok" true (I.verify_ok t);
-  (* VRF001/VRF002 never fire on the shipped scenarios; VRF003 cascade
+  (* VRF001 never fires on the shipped scenarios; VRF003 cascade
      warnings are expected at genealogy branch points *)
   Alcotest.(check (list string)) "no verification errors" []
     (List.map Diag.to_string (Diag.errors (I.verify_diagnostics t)))
