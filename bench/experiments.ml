@@ -740,167 +740,6 @@ let telemetry_overhead ?out ?(gate = 1.5) scale =
       (Fmt.str "telemetry read overhead x%.3f exceeds the x%.2f gate" worst gate);
   worst
 
-(* --- co-materialization (BENCH_PR7.json) ---------------------------------- *)
-
-(** Reads at a co-materialized version vs local reads, and the write
-    amplification copy maintenance adds (BENCH_PR7.json). The distance-2
-    statements of the PR4/PR5 read suite are measured cache-off (every read
-    pays full evaluation) first against the plain delta code, then with the
-    versions they touch co-materialized: the copy collapses the propagation
-    hops, so a distance-2 read must cost at most [gate]x a local read
-    (BENCH_PR5 recorded ~2.6x for the plain delta code). Writes at the
-    physical version are measured with and without the copies live; their
-    ratio is the copy-maintenance write amplification (reported, not gated:
-    it scales with the number of live copies by design). *)
-let comat ?out ?(gate = 1.3) scale =
-  section "Co-materialization: reads at a copied version, write amplification";
-  let tasks = min scale.fig8_tasks 5_000 in
-  let reads = 50 in
-  let rng = Scenarios.Rng.create ~seed:31 () in
-  let t = Scenarios.Tasky.setup_full ~tasks () in
-  I.set_cache t false;
-  let db = I.database t in
-  let q_local = Scenarios.Tasky.tasky_read rng in
-  let q_dist2 = Scenarios.Tasky.tasky2_read rng in
-  let q_do = Scenarios.Tasky.do_read rng in
-  let read_on dbx sql = ns (repeated_read_cost dbx ~reads sql) in
-  let read sql = read_on db sql in
-  let insert_batch base =
-    ns
-      (W.time_unit (fun () ->
-           for i = 1 to 50 do
-             ignore
-               (Minidb.Engine.exec db (Scenarios.Tasky.tasky_insert rng (base + i)))
-           done)
-      /. 50.0)
-  in
-  (* the comparator the paper's claim is about: the same distance-2
-     statements measured where they are local, i.e. on instances
-     materialized at the version each statement reads. A join statement can
-     never cost what a distance-0 filter scan costs, so "as fast as local"
-     means "as fast as if you had materialized there". *)
-  let matv_instance target =
-    let tm = Scenarios.Tasky.setup_full ~tasks () in
-    I.set_cache tm false;
-    I.materialize tm [ target ];
-    I.database tm
-  in
-  let dbm_tasky2 = matv_instance "TasKy2" in
-  let dbm_do = matv_instance "Do!" in
-  (* burn-in, then the plain delta code *)
-  ignore (read q_dist2);
-  let local_plain = read q_local in
-  let dist2_plain = read q_dist2 in
-  let do_plain = read q_do in
-  let insert_plain = insert_batch 850_000 in
-  (* co-materialize every version the distance-2 statements touch *)
-  List.iter (I.comat_add t) [ "TasKy2.Task"; "TasKy2.Author"; "Do!.Todo" ];
-  let copy_counters () =
-    List.map
-      (fun (cm : Inverda.Genealogy.comat_copy) ->
-        ( cm.Inverda.Genealogy.cm_table,
-          cm.Inverda.Genealogy.cm_writes,
-          cm.Inverda.Genealogy.cm_rows ))
-      (I.comat_list t)
-  in
-  let local = read q_local in
-  (* the gated ratios: each distance-2 statement is measured interleaved
-     against the same statement on an instance materialized at the version
-     it reads, best round each ({!interleaved_min}) *)
-  let pair sql dbm =
-    let best =
-      interleaved_min ~runs:scale.runs [| db; dbm |] (fun _ dbx _ ->
-          read_on dbx sql)
-    in
-    (best.(0), best.(1))
-  in
-  let dist2_comat, dist2_matv = pair q_dist2 dbm_tasky2 in
-  let do_comat, do_matv = pair q_do dbm_do in
-  let before = copy_counters () in
-  let insert_comat = insert_batch 860_000 in
-  let per_copy =
-    List.map2
-      (fun (name, w0, r0) (name', w1, r1) ->
-        assert (name = name');
-        (name, float_of_int (w1 - w0) /. 50.0, float_of_int (r1 - r0) /. 50.0))
-      before (copy_counters ())
-  in
-  let rows_per_insert =
-    List.fold_left (fun acc (_, _, r) -> acc +. r) 0.0 per_copy
-  in
-  let r_dist2_plain = dist2_plain /. Float.max 1e-9 local_plain in
-  let r_dist2_local = dist2_comat /. Float.max 1e-9 local in
-  let r_dist2 = dist2_comat /. Float.max 1e-9 dist2_matv in
-  let r_do = do_comat /. Float.max 1e-9 do_matv in
-  let amp = insert_comat /. Float.max 1e-9 insert_plain in
-  Fmt.pr "%-24s %12s %12s %14s@." "" "plain" "co-mat" "materialized";
-  Fmt.pr "%-24s %9.0f ns %9.0f ns@." "read_local" local_plain local;
-  Fmt.pr "%-24s %9.0f ns %9.0f ns %11.0f ns   (x%.2f of materialized)@."
-    "read_dist2" dist2_plain dist2_comat dist2_matv r_dist2;
-  Fmt.pr "%-24s %9.0f ns %9.0f ns %11.0f ns   (x%.2f of materialized)@."
-    "read_do_dist2" do_plain do_comat do_matv r_do;
-  Fmt.pr "%-24s %9.0f ns %9.0f ns %14s   (x%.2f amplification)@."
-    "insert_tasky" insert_plain insert_comat "-" amp;
-  Fmt.pr
-    "dist-2 read at co-materialized version: x%.2f of materialized-there \
-     local (gate x%.2f); x%.2f of the distance-0 scan (plain delta code: \
-     x%.2f)@."
-    r_dist2 gate r_dist2_local r_dist2_plain;
-  List.iter
-    (fun (name, stmts, rows) ->
-      Fmt.pr "  copy %-14s %.1f maintenance stmts, %.1f rows per insert@."
-        name stmts rows)
-    per_copy;
-  (match out with
-  | None -> ()
-  | Some path ->
-    let buf = Buffer.create 512 in
-    let addf fmt = Fmt.kstr (Buffer.add_string buf) fmt in
-    addf "{\n";
-    addf "  \"baseline\": \"PR7\",\n";
-    addf "  \"unit\": \"ns/op\",\n";
-    addf "  \"tasks\": %d,\n" tasks;
-    addf "  \"reads_per_batch\": %d,\n" reads;
-    addf "  \"ratio_dist2_comat_vs_materialized\": %.4f,\n" r_dist2;
-    addf "  \"ratio_do_comat_vs_materialized\": %.4f,\n" r_do;
-    addf "  \"ratio_dist2_plain_vs_local\": %.4f,\n" r_dist2_plain;
-    addf "  \"ratio_dist2_comat_vs_local\": %.4f,\n" r_dist2_local;
-    addf "  \"write_amplification\": %.4f,\n" amp;
-    addf "  \"maintenance_rows_per_insert\": %.2f,\n" rows_per_insert;
-    addf "  \"copies\": [\n";
-    List.iteri
-      (fun i (name, stmts, rows) ->
-        addf
-          "    {\"copy\": %S, \"maintenance_statements_per_insert\": %.2f, \
-           \"maintenance_rows_per_insert\": %.2f}%s\n"
-          name stmts rows
-          (if i = List.length per_copy - 1 then "" else ","))
-      per_copy;
-    addf "  ],\n";
-    addf "  \"experiments\": {\n";
-    addf "    \"read_local_plain\": %.0f,\n" local_plain;
-    addf "    \"read_local_comat\": %.0f,\n" local;
-    addf "    \"read_dist2_plain\": %.0f,\n" dist2_plain;
-    addf "    \"read_dist2_comat\": %.0f,\n" dist2_comat;
-    addf "    \"read_dist2_materialized\": %.0f,\n" dist2_matv;
-    addf "    \"read_do_dist2_plain\": %.0f,\n" do_plain;
-    addf "    \"read_do_dist2_comat\": %.0f,\n" do_comat;
-    addf "    \"read_do_dist2_materialized\": %.0f,\n" do_matv;
-    addf "    \"insert_tasky_plain\": %.0f,\n" insert_plain;
-    addf "    \"insert_tasky_comat\": %.0f\n" insert_comat;
-    addf "  }\n}\n";
-    let oc = open_out path in
-    output_string oc (Buffer.contents buf);
-    close_out oc;
-    Fmt.pr "wrote %s@." path);
-  if r_dist2 > gate then
-    failwith
-      (Fmt.str
-         "dist-2 read at a co-materialized version is x%.2f of the \
-          materialized-there local cost, exceeding the x%.2f gate"
-         r_dist2 gate);
-  r_dist2
-
 (* --- durability (BENCH_PR8.json) ------------------------------------------- *)
 
 (** Write-ahead-log overhead on the insert path and recovery cost
@@ -1051,12 +890,12 @@ let wal ?out ?(gate = 1.15) scale =
 (* --- compiled batch executor (BENCH_PR9.json) ------------------------------- *)
 
 (** Cold read cost through the compiled columnar executor vs the row
-    interpreter (BENCH_PR9.json). The PR7 read suite's statements are
-    measured cache-off (every read pays full delta-code evaluation) with
-    batch execution on and off, interleaved best-of-rounds
-    ({!interleaved_min}); toggling flushes the column cache, so each batch
-    round's warm-up read re-pays extraction and the steady-state figures
-    are honest about amortization. At full scale (>= 100k tasks) the cold
+    interpreter (BENCH_PR9.json). The TasKy read suite's local, distance-2
+    and Do! statements are measured cache-off (every read pays full
+    delta-code evaluation) with batch execution on and off, interleaved
+    best-of-rounds ({!interleaved_min}); toggling flushes the column cache,
+    so each batch round's warm-up read re-pays extraction and the
+    steady-state figures are honest about amortization. At full scale (>= 100k tasks) the cold
     distance-2 read must come out at least [gate]x faster through the
     batch pipeline; below that the ratio is only reported, since per-read
     constants dominate tiny tables. The Wikimedia genealogy is then read

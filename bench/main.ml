@@ -29,7 +29,6 @@ let all_experiments : (string * (Experiments.scale -> unit)) list =
     ("ablation_pushdown", Experiments.ablation_pushdown);
     ("ablation_chain", Experiments.ablation_chain);
     ("telemetry", fun scale -> ignore (Experiments.telemetry_overhead scale));
-    ("comat", fun scale -> ignore (Experiments.comat scale));
     ("wal", fun scale -> ignore (Experiments.wal scale));
     ("batch", fun scale -> ignore (Experiments.batch scale));
     ("obs", fun scale -> ignore (Experiments.obs scale));
@@ -48,7 +47,7 @@ let run_isolated name scale_flags =
   | _, Unix.WEXITED 0 -> true
   | _ -> false
 
-let run only full bechamel smoke json5 json7 json8 json9 json10 =
+let run only full bechamel smoke json5 json8 json9 json10 =
   if bechamel then Micro.run ()
   else
   let scale =
@@ -58,8 +57,6 @@ let run only full bechamel smoke json5 json7 json8 json9 json10 =
   in
   if json5 then
     ignore (Experiments.telemetry_overhead ~out:"BENCH_PR5.json" scale)
-  else if json7 then
-    ignore (Experiments.comat ~out:"BENCH_PR7.json" scale)
   else if json8 then
     ignore (Experiments.wal ~out:"BENCH_PR8.json" scale)
   else if json9 then
@@ -124,15 +121,6 @@ let json5 =
   in
   Arg.(value & flag & info [ "json-pr5" ] ~doc)
 
-let json7 =
-  let doc =
-    "Write the co-materialization baseline to BENCH_PR7.json (distance-2 \
-     reads with and without a redundant copy at the read version, plus the \
-     copy-maintenance write amplification) instead of running the figure \
-     harness."
-  in
-  Arg.(value & flag & info [ "json-pr7" ] ~doc)
-
 let json8 =
   let doc =
     "Write the durability baseline to BENCH_PR8.json (the TasKy insert \
@@ -164,7 +152,7 @@ let cmd =
   let doc = "Regenerate the tables and figures of the InVerDa paper" in
   Cmd.v (Cmd.info "inverda-bench" ~doc)
     Term.(
-      const run $ only $ full $ bechamel $ smoke $ json5 $ json7 $ json8
-      $ json9 $ json10)
+      const run $ only $ full $ bechamel $ smoke $ json5 $ json8 $ json9
+      $ json10)
 
 let () = exit (Cmd.eval cmd)

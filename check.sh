@@ -11,10 +11,10 @@ dune build @lint
 dune exec bench/main.exe -- --only table2 --smoke
 # migration atomicity: strided fault-injection sweep at small scale
 dune exec bin/inverda_cli.exe -- faults --smoke
-# coherence: every optimization layer (batch executor, view cache, planner
-# fast paths, co-materialized copies) answers like the layered
-# row-interpreter reference under every TasKy materialization, a migrating
-# Wikimedia genealogy and every injected-fault rollback state
+# coherence: each of the three optimization layers (batch executor, view
+# cache, planner fast paths) answers like the layered row-interpreter
+# reference under every TasKy materialization, a migrating Wikimedia
+# genealogy and every injected-fault rollback state
 dune exec bin/inverda_cli.exe -- coherence --smoke
 # bidirectionality: both lens laws prove for every demo SMO, the mutation
 # harness kills every single-atom mutant, and verify --json carries every
@@ -35,7 +35,7 @@ stats_json=$(dune exec bin/inverda_cli.exe -- stats --demo --json)
 for field in enabled observed_statements engine_statements trigger_hops \
              cache versions table_versions \
              observed_profile read_latency_ns write_latency_ns \
-             latency_quantiles_ns spans comat; do
+             latency_quantiles_ns spans; do
   echo "$stats_json" | grep -q "\"$field\"" \
     || { echo "check.sh: stats --json is missing \"$field\"" >&2; exit 1; }
 done
@@ -43,9 +43,6 @@ done
 dune exec bin/inverda_cli.exe -- trace --smoke
 # telemetry: measured read overhead must stay within the gate at smoke scale
 dune exec bench/main.exe -- --only telemetry --smoke
-# co-materialization: distance-2 reads at a copied version must stay within
-# the gate of the materialized-there local cost
-dune exec bench/main.exe -- --only comat --smoke
 # durability: build-kill-recover round trip (dump byte-identity, AS OF vs
 # genesis replay), then a strided crash-recovery sweep over a logged workload
 dune exec bin/inverda_cli.exe -- recover --verify

@@ -1,7 +1,7 @@
 (** Proving the bidirectionality laws — GetPut (condition 27) and PutGet
     (condition 26) — for SMO instances, and deciding semantic equivalence
-    of Datalog programs (the gate on the composed programs behind
-    co-materialized copies, and the mutation harness).
+    of Datalog programs (the mutation harness classifies lawful-but-different
+    mutants with it).
 
     This is the one prover of the reproduction. Two engines cooperate (see
     {!Symbolic}); for the laws, both run {!Bidel.Verify.roundtrip}:
@@ -386,8 +386,8 @@ let eq_memo : (Digest.t, verdict) Hashtbl.t = Hashtbl.create 64
 (** Are [reference] and [candidate] equivalent on the [outputs] predicates
     for every database over [schema]? Chase both on canonical instances
     first; sweep the grounded family when the symbolic comparison is not
-    syntactically exact. Verdicts are memoized: re-deriving a copy's
-    program asks the same structural question again. *)
+    syntactically exact. Verdicts are memoized by a digest of the question,
+    like the law verdicts. *)
 let equivalent_on ?(max_instances = 20_000) ~(schema : (string * int) list)
     ~(outputs : string list) ~(reference : D.t) ~(candidate : D.t) () :
     verdict =

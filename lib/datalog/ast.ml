@@ -71,15 +71,6 @@ let literal_vars = function
   | Cond e -> expr_vars e
   | Assign (x, e) -> x :: expr_vars e
 
-let rule_vars r =
-  List.sort_uniq compare (atom_vars r.head @ List.concat_map literal_vars r.body)
-
-(** Positive (binding) variables of a body. *)
-let bound_vars body =
-  List.concat_map
-    (function Pos a -> atom_vars a | Assign (x, _) -> [ x ] | Neg _ | Cond _ -> [])
-    body
-
 (** Predicates appearing in bodies / heads of a rule set. *)
 let body_preds rules =
   List.concat_map

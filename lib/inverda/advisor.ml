@@ -94,75 +94,6 @@ let advise (gen : G.t) (profile : profile) =
     | (best, c) :: _ ->
       Some { materialization = best; estimated_cost = c; alternatives = scored }
 
-(** One table version worth co-materializing. *)
-type comat_recommendation = {
-  cr_target : string;  (** "Version.Table" *)
-  cr_tv : int;
-  cr_benefit : float;
-      (** profile-weighted propagation distance the copy removes *)
-  cr_rows : int;  (** estimated copy size in rows *)
-}
-
-(** Pick table versions to redundantly materialize under a row budget:
-    candidates are the non-physical, not-yet-copied table versions of
-    versions the profile accesses, scored by the propagation distance a
-    local copy removes, weighted by access share, and packed greedily by
-    benefit density. An all-zero profile yields no recommendations — there
-    is no evidence any copy would pay for its writes. [budget <= 0] means
-    unlimited space. *)
-let advise_comat (gen : G.t) ~rows ~budget (profile : profile) :
-    comat_recommendation list =
-  let total = total_weight profile in
-  if total <= 0.0 then []
-  else begin
-    let current = G.current_materialization gen in
-    let best : (int, string * float * int) Hashtbl.t = Hashtbl.create 16 in
-    List.iter
-      (fun (version, weight) ->
-        if weight > 0.0 then
-          match G.find_version gen version with
-          | None -> ()
-          | Some sv ->
-            List.iter
-              (fun (table, tvid) ->
-                let v = G.tv gen tvid in
-                if (not (G.is_physical gen v)) && not (G.is_comat gen tvid)
-                then begin
-                  let d = distance gen current tvid in
-                  if d > 0.0 then begin
-                    let benefit = weight /. total *. d in
-                    match Hashtbl.find_opt best tvid with
-                    | Some (t0, b0, r0) ->
-                      Hashtbl.replace best tvid (t0, b0 +. benefit, r0)
-                    | None ->
-                      Hashtbl.replace best tvid
-                        (version ^ "." ^ table, benefit, rows tvid)
-                  end
-                end)
-              sv.G.sv_tables)
-      profile;
-    let density c = c.cr_benefit /. float_of_int (max 1 c.cr_rows) in
-    let candidates =
-      Hashtbl.fold
-        (fun tvid (target, benefit, r) acc ->
-          { cr_target = target; cr_tv = tvid; cr_benefit = benefit; cr_rows = r }
-          :: acc)
-        best []
-      |> List.sort (fun a b ->
-             compare
-               (density b, b.cr_benefit, a.cr_tv)
-               (density a, a.cr_benefit, b.cr_tv))
-    in
-    let _, picked =
-      List.fold_left
-        (fun (space, acc) c ->
-          if budget > 0 && space + c.cr_rows > budget then (space, acc)
-          else (space + c.cr_rows, c :: acc))
-        (0, []) candidates
-    in
-    List.rev picked
-  end
-
 (** Convenience: advise and migrate in one step; returns true if the
     materialization changed. *)
 let advise_and_migrate db (gen : G.t) profile =

@@ -27,25 +27,6 @@ val advise : Genealogy.t -> profile -> recommendation option
     recommendation — the current materialization, no alternatives — instead
     of an arbitrary pick among tied candidates. *)
 
-(** One table version worth co-materializing ({!advise_comat}). *)
-type comat_recommendation = {
-  cr_target : string;  (** "Version.Table" *)
-  cr_tv : int;
-  cr_benefit : float;
-      (** profile-weighted propagation distance the copy removes *)
-  cr_rows : int;  (** estimated copy size in rows *)
-}
-
-val advise_comat :
-  Genealogy.t ->
-  rows:(int -> int) ->
-  budget:int ->
-  profile ->
-  comat_recommendation list
-(** Greedy benefit-density packing of redundant copies under a row budget
-    ([<= 0] = unlimited). [rows] estimates a table version's size. An
-    all-zero profile yields no recommendations. *)
-
 val advise_and_migrate : Minidb.Database.t -> Genealogy.t -> profile -> bool
 (** Recommend and migrate in one step; returns whether the materialization
     changed. *)

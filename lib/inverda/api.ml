@@ -75,9 +75,9 @@ let register_skolem t fname =
         Hashtbl.replace memo args v;
         v)
 
-(* Append a host-level logical record (evolution, migration flip, comat
-   registration) to the attached changeset log. Callers log only after the
-   operation succeeded; with no log attached this is free. *)
+(* Append a host-level logical record (evolution, migration flip) to the
+   attached changeset log. Callers log only after the operation succeeded;
+   with no log attached this is free. *)
 let log_record t ~kind ~tag ~payload =
   match t.wal with
   | None -> ()
@@ -148,7 +148,12 @@ let validate_delta t stmts =
 let delta_diagnostics t =
   Analysis.check_delta (lint_env t) (Codegen.delta_statements t.gen)
 
-(* Safety diagnostics for one SMO instance's three mapping rule sets. Every
+let smo_context (si : G.smo_instance) =
+  Fmt.str "SMO #%d (%s)" si.G.si_id (Bidel.Ast.smo_name si.G.si_smo)
+
+(* Diagnostics for one SMO instance: safety of its three mapping rule sets,
+   then — once they are safe — its lens laws (VRF001 when a law is refuted:
+   the SMO parameters lose information; VRF004 when one is undecided). Every
    catalog relation of the instance counts as live (its views and triggers
    read them), so DLG009 only fires on internal derived predicates nothing
    consumes. *)
@@ -160,34 +165,29 @@ let instance_rule_diagnostics ?unused (si : G.smo_instance) =
       (i.S.sources @ i.S.targets @ i.S.aux_src @ i.S.aux_tgt @ i.S.aux_both)
   in
   let check what rules =
-    let context =
-      Fmt.str "%s of SMO #%d (%s)" what si.G.si_id
-        (Bidel.Ast.smo_name si.G.si_smo)
-    in
+    let context = what ^ " of " ^ smo_context si in
     Analysis.check_rules ?unused ~edb ~live:edb ~context rules
   in
-  check "gamma_src" i.S.gamma_src
-  @ check "gamma_tgt" i.S.gamma_tgt
-  @ check "backfill" i.S.backfill
+  let safety =
+    check "gamma_src" i.S.gamma_src
+    @ check "gamma_tgt" i.S.gamma_tgt
+    @ check "backfill" i.S.backfill
+  in
+  if Analysis.Diagnostic.has_errors safety then safety
+  else
+    safety @ Analysis.Verify.law_diagnostics ~context:(smo_context si) i
 
-(** Safety diagnostics for every SMO instance in the catalog. [unused]
-    enables the pedantic DLG006 singleton-variable lint. *)
+(** Rule-set safety and lens-law diagnostics for every SMO instance in the
+    catalog. [unused] enables the pedantic DLG006 singleton-variable lint. *)
 let rule_diagnostics ?unused t =
   List.concat_map (instance_rule_diagnostics ?unused) (G.all_smos t.gen)
 
-(* Safety-check the mapping rule sets of freshly instantiated SMOs; in
-   strict mode a refuted lens law (VRF001 — the SMO parameters lose
-   information) also rejects the evolution before any delta code is
-   installed. Unknown verdicts are warnings and pass. *)
+(* In strict mode, reject freshly instantiated SMOs whose rule sets are
+   unsafe or whose lens laws are refuted, before any delta code is
+   installed. Undecided laws are warnings and pass. *)
 let check_instance_rules t (si : G.smo_instance) =
-  if t.strict then begin
-    Analysis.Diagnostic.reject_errors (instance_rule_diagnostics si);
-    Analysis.Diagnostic.reject_errors
-      (Analysis.Verify.law_diagnostics
-         ~context:
-           (Fmt.str "SMO #%d (%s)" si.G.si_id (Bidel.Ast.smo_name si.G.si_smo))
-         si.G.si_inst)
-  end
+  if t.strict then
+    Analysis.Diagnostic.reject_errors (instance_rule_diagnostics si)
 
 (* Migrations manage their own internal engine transaction; letting one run
    inside an open user transaction would interleave the migration's undo
@@ -265,7 +265,6 @@ let all_or_nothing t f =
       !added;
     Db.flush_view_cache t.db;
     Codegen.regenerate t.db t.gen;
-    Comat.rederive_all t.db t.gen;
     raise exn
 
 (** Execute one BiDEL statement. *)
@@ -283,13 +282,10 @@ let exec_bidel t (stmt : Bidel.Ast.statement) =
     (* identifier backfill for pre-existing source data reads the *current*
        views, which still exist *)
     List.iter (run_backfill t) instances;
-    Codegen.regenerate ~validate:(validate_delta t) t.db t.gen;
-    Comat.rederive_all t.db t.gen
+    Codegen.regenerate ~validate:(validate_delta t) t.db t.gen
   | Bidel.Ast.Drop_schema_version name ->
     G.drop_schema_version t.gen name;
-    Comat.prune t.db t.gen;
-    Codegen.regenerate ~validate:(validate_delta t) t.db t.gen;
-    Comat.rederive_all t.db t.gen
+    Codegen.regenerate ~validate:(validate_delta t) t.db t.gen
   | Bidel.Ast.Materialize targets ->
     check_no_open_txn t;
     Migration.materialize ~validate:(validate_delta t) t.db t.gen targets);
@@ -399,57 +395,6 @@ let advise t profile = Advisor.advise t.gen profile
 let advise_observed t =
   match observed_profile t with [] -> None | p -> Advisor.advise t.gen p
 
-(* --- co-materialization ------------------------------------------------------ *)
-
-(** Redundantly materialize a table version ("Version.Table"): create and
-    populate a copy table, re-anchor the version's reads at it, and keep it
-    exact on every write through the derived maintenance program. *)
-let comat_add t target =
-  check_no_open_txn t;
-  ignore (Comat.add t.db t.gen target);
-  log_record t ~kind:"comat+" ~tag:target ~payload:target
-
-(** Drop a redundant copy; the version's reads fall back to its regular
-    delta code. *)
-let comat_drop t target =
-  check_no_open_txn t;
-  Comat.drop t.db t.gen target;
-  log_record t ~kind:"comat-" ~tag:target ~payload:target
-
-(** All live copies, in table-version order. *)
-let comat_list t = G.comats_list t.gen
-
-(** The advisor's space budget in rows across all copies ([<= 0] =
-    unlimited). *)
-let set_comat_budget t n = t.gen.G.comat_budget <- n
-
-let comat_budget t = t.gen.G.comat_budget
-
-(** Verify every copy against its copy-independent source view; raises
-    {!Comat.Comat_error} on divergence. *)
-let comat_check t = Comat.check t.db t.gen
-
-let tv_rows t tvid =
-  let v = G.tv t.gen tvid in
-  query_int t (Fmt.str "SELECT COUNT(*) FROM \"%s\"" (G.tv_name v))
-
-(** Copies worth adding for a profile, greedily packed under the configured
-    row budget. *)
-let advise_comat t profile =
-  Advisor.advise_comat t.gen ~rows:(tv_rows t) ~budget:t.gen.G.comat_budget
-    profile
-
-(** As {!advise_comat}, on the observed traffic profile; empty when nothing
-    was observed. *)
-let advise_comat_observed t = advise_comat t (observed_profile t)
-
-(** Advise from observed traffic and register every recommended copy.
-    Returns the recommendations that were applied. *)
-let comat_auto t =
-  let recs = advise_comat_observed t in
-  List.iter (fun (r : Advisor.comat_recommendation) -> comat_add t r.Advisor.cr_target) recs;
-  recs
-
 (* --- bidirectionality verification -------------------------------------------- *)
 
 (** Law verdicts for one SMO instance of the catalog. *)
@@ -515,10 +460,7 @@ let cascade_diagnostics t =
 let verify_diagnostics t : Analysis.Diagnostic.t list =
   List.concat_map
     (fun (si : G.smo_instance) ->
-      Analysis.Verify.law_diagnostics
-        ~context:
-          (Fmt.str "SMO #%d (%s)" si.G.si_id (Bidel.Ast.smo_name si.G.si_smo))
-        si.G.si_inst)
+      Analysis.Verify.law_diagnostics ~context:(smo_context si) si.G.si_inst)
     (G.all_smos t.gen)
   @ cascade_diagnostics t
 
@@ -612,7 +554,7 @@ module W = Minidb.Wal
 
 (** Attach a changeset log in [dir]: a torn tail is repaired, the history is
     reloaded and every subsequent committed statement (DML/DDL through the
-    engine, evolutions, migrations, comat registrations) appends one record.
+    engine, evolutions, migrations) appends one record.
     The instance's state must correspond to the log — a fresh instance with
     a fresh directory, or the result of {!recover}. [sync] defaults to
     {!Minidb.Wal.Flush}. *)
@@ -665,7 +607,7 @@ let record_audit = Changeset.audit_of
 let record_tag (r : W.record) = Changeset.bare_tag r.W.tag
 
 (** Write a checkpoint: the schema-shaped record prefix (evolutions, DDL,
-    migrations, comat registrations), the skolem memos and id counter, and
+    migrations), the skolem memos and id counter, and
     the deterministic dump of the current state. Recovery then replays only
     the log tail past it. The log itself is never truncated. *)
 let checkpoint t =
@@ -704,7 +646,7 @@ let checkpoint t =
       }
 
 (* Re-execute one logical record. DML/DDL run through the engine (the full
-   delta-code path: triggers fire, comat copies maintain themselves);
+   delta-code path: triggers fire);
    host-level records run through the same API entry points that logged
    them. The instance being replayed into has no log attached, so nothing
    is re-logged. *)
@@ -716,8 +658,6 @@ let replay_record t (r : W.record) =
   | "setmat" ->
     set_materialization t
       (String.split_on_char ' ' r.W.payload |> List.filter_map int_of_string_opt)
-  | "comat+" -> comat_add t r.W.payload
-  | "comat-" -> comat_drop t r.W.payload
   | "memo" -> (
     match W.parse_row r.W.payload with
     | v :: args -> (
@@ -735,8 +675,8 @@ let replay_record t (r : W.record) =
 
    With a usable checkpoint (its LSN within [upto]): replay its
    schema-shaped record prefix on the fresh, empty instance — backfills see
-   no rows and migrations move none, but the genealogy, delta code and comat
-   registrations come out exactly as live, because they are data-independent
+   no rows and migrations move none, but the genealogy and delta code come
+   out exactly as live, because they are data-independent
    — restore the id counter and skolem memos, bulk-load the dump (raw table
    loads: the dump *is* the committed state, so no triggers, no undo, no
    observers), then replay the log tail through the full path.

@@ -139,8 +139,8 @@ val observed_profile : t -> Advisor.profile
     has been observed. *)
 
 val stats_json : t -> string
-(** Unified stats document (cache, per-version counters, co-materialized copies,
-    histograms, spans) as one JSON object. *)
+(** Unified stats document (cache, per-version counters, histograms, spans)
+    as one JSON object. *)
 
 val stats_text : t -> string
 
@@ -179,48 +179,6 @@ val advise_observed : t -> Advisor.recommendation option
 (** As {!advise}, on the {!observed_profile}; [None] when nothing was
     observed. *)
 
-(** {1 Co-materialization}
-
-    A {e co-materialized} table version keeps a redundant physical copy next
-    to the regular delta code: reads at that version hit the copy directly
-    (no propagation hops), while every write anywhere in the genealogy keeps
-    the copy exact — incrementally, through delta rules derived from the γ
-    rule sets composed along its path ({!Flatten}), or by full refresh when
-    no safe single-hop program exists. Copies survive MATERIALIZE atomically
-    and roll back with failed migrations. *)
-
-val comat_add : t -> string -> unit
-(** [comat_add t "Version.Table"] — create, populate and maintain a
-    redundant copy of that table version. Raises {!Comat.Comat_error} if the
-    version is already physical or already copied, {!Inverda_error} inside
-    an open transaction. *)
-
-val comat_drop : t -> string -> unit
-(** Drop the copy; reads fall back to the regular delta code. *)
-
-val comat_list : t -> Genealogy.comat_copy list
-(** Live copies with their maintenance mode, watch set and counters. *)
-
-val set_comat_budget : t -> int -> unit
-(** Advisor space budget in rows across all copies ([<= 0] = unlimited). *)
-
-val comat_budget : t -> int
-
-val comat_check : t -> unit
-(** Compare every copy against its copy-independent source view; raises
-    {!Comat.Comat_error} on the first divergent copy. *)
-
-val advise_comat : t -> Advisor.profile -> Advisor.comat_recommendation list
-(** Copies worth adding for a profile, greedily packed under the configured
-    row budget. An all-zero profile yields no recommendations. *)
-
-val advise_comat_observed : t -> Advisor.comat_recommendation list
-(** As {!advise_comat}, on the observed traffic profile. *)
-
-val comat_auto : t -> Advisor.comat_recommendation list
-(** Advise from observed traffic, register every recommended copy, and
-    return what was applied. *)
-
 (** {1 Static analysis} *)
 
 val lint_env : t -> Analysis.Sql_check.env
@@ -238,9 +196,11 @@ val delta_diagnostics : t -> Analysis.Diagnostic.t list
 
 val rule_diagnostics : ?unused:bool -> t -> Analysis.Diagnostic.t list
 (** Safety diagnostics for the mapping rule sets (γ_src, γ_tgt, backfill) of
-    every SMO instance in the catalog, including the DLG009 dead-rule check.
-    [unused] additionally enables the pedantic DLG006 singleton-variable
-    lint. *)
+    every SMO instance in the catalog, including the DLG009 dead-rule check,
+    and — for an instance whose rule sets are safe — its lens-law
+    diagnostics ([VRF001]/[VRF004]): exactly what strict mode rejects an
+    evolution for. [unused] additionally enables the pedantic DLG006
+    singleton-variable lint. *)
 
 (** {1 Bidirectionality verification} *)
 
@@ -276,8 +236,7 @@ val verify_json : t -> string
 (** {1 Durability and time travel}
 
     With a changeset log attached, every committed statement — DML and DDL
-    through the engine, evolutions, migrations, comat registrations —
-    appends one logical record (a {e changeset}: monotone id, kind, target,
+    through the engine, evolutions and migrations — appends one logical record (a {e changeset}: monotone id, kind, target,
     statement) to a write-ahead log on disk. {!checkpoint} persists the
     current state in the deterministic dump format; {!recover} rebuilds an
     instance as checkpoint + log-tail replay, with torn-tail detection via

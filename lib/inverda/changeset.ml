@@ -9,8 +9,7 @@
       DROP SCHEMA VERSION, MATERIALIZE), replayed through [Api.evolve];
     - ["setmat"] — a low-level materialization flip (space-separated SMO
       ids), replayed through [Api.set_materialization];
-    - ["comat+"] / ["comat-"] — co-materialized copy registration/removal by
-      target, replayed through [Api.comat_add] / [Api.comat_drop];
+
     - ["memo"] — checkpoint-only: one skolem memo binding (tag = function
       name, payload = result and arguments as a dump row literal), restored
       before the log tail replays so identifier generation stays exactly
@@ -28,7 +27,7 @@ module Sql = Minidb.Sql_ast
 (** Record kinds that shape the schema/catalog rather than the data; a
     checkpoint carries this subsequence so recovery can rebuild the delta
     code before bulk-loading the dump. *)
-let schema_kinds = [ "ddl"; "bidel"; "setmat"; "comat+"; "comat-" ]
+let schema_kinds = [ "ddl"; "bidel"; "setmat" ]
 
 let is_schema_kind k = List.mem k schema_kinds
 

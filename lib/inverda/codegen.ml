@@ -134,8 +134,7 @@ let rewrite_statement_reads rename (stmt : Sql.statement) =
   | other -> other
 
 (** canonical-view name -> stored-table name: the data table for physical
-    table versions, the copy table for co-materialized ones (reads are
-    re-anchored at the local copy). *)
+    table versions. *)
 let physical_rename (gen : G.t) =
   let tbl = Hashtbl.create 16 in
   List.iter
@@ -144,12 +143,6 @@ let physical_rename (gen : G.t) =
         Hashtbl.replace tbl (G.tv_name v)
           (Naming.data_table ~id:v.G.tv_id ~table:v.G.tv_table))
     (G.all_table_versions gen);
-  List.iter
-    (fun (cm : G.comat_copy) ->
-      let v = G.tv gen cm.G.cm_tv in
-      if not (G.is_physical gen v) then
-        Hashtbl.replace tbl (G.tv_name v) cm.G.cm_table)
-    (G.comats_list gen);
   fun name -> Option.value (Hashtbl.find_opt tbl name) ~default:name
 
 (* --- physical storage ------------------------------------------------------- *)
@@ -189,11 +182,6 @@ let physical_statements (gen : G.t) =
           (fun (r : S.rel) -> create_table_stmt r.S.rel_name r.S.rel_cols)
           (physical_aux si))
       (G.all_smos gen)
-  @ List.map
-      (fun (cm : G.comat_copy) ->
-        let v = G.tv gen cm.G.cm_tv in
-        create_table_stmt cm.G.cm_table ("p" :: v.G.tv_cols))
-      (G.comats_list gen)
 
 (* identifier auxiliaries are probed by their non-key columns *)
 let ensure_aux_indexes db (gen : G.t) =
@@ -465,50 +453,15 @@ let emit_rules_view emit lookup rename ~name rules =
 let generate_tv emit (gen : G.t) lookup rename v =
   let name = G.tv_name v in
   (* the read side *)
-  (match G.comat gen v.G.tv_id with
-  | Some cm ->
-    (* co-materialized: the canonical view reads the local copy; a source
-       view carries the copy-independent layered definition (still
-       re-anchored at every *other* copy) for population, full refresh and
-       coherence checking *)
-    let source_query rules =
-      rewrite_query rename (Rule_sql.query_of_rules lookup ~pred:name rules)
-    in
-    (match G.access_case gen v with
-    | G.Local ->
-      star_view emit cm.G.cm_source
-        (Naming.data_table ~id:v.G.tv_id ~table:v.G.tv_table)
-    | G.Forwards o ->
-      emit
-        (Sql.Create_view
-           {
-             name = cm.G.cm_source;
-             or_replace = true;
-             query = source_query (G.smo gen o).G.si_inst.S.gamma_src;
-           })
-    | G.Backwards i ->
-      emit
-        (Sql.Create_view
-           {
-             name = cm.G.cm_source;
-             or_replace = true;
-             query = source_query (G.smo gen i).G.si_inst.S.gamma_tgt;
-           }));
-    (* a copy whose version is physical right now is dormant: reads stay on
-       the data table, the copy just tracks it until the next migration *)
-    if G.is_physical gen v then
-      star_view emit name (Naming.data_table ~id:v.G.tv_id ~table:v.G.tv_table)
-    else star_view emit name cm.G.cm_table
-  | None -> (
-    match G.access_case gen v with
-    | G.Local ->
-      star_view emit name (Naming.data_table ~id:v.G.tv_id ~table:v.G.tv_table)
-    | G.Forwards o ->
-      let si = G.smo gen o in
-      emit_rules_view emit lookup rename ~name si.G.si_inst.S.gamma_src
-    | G.Backwards i ->
-      let si = G.smo gen i in
-      emit_rules_view emit lookup rename ~name si.G.si_inst.S.gamma_tgt));
+  (match G.access_case gen v with
+  | G.Local ->
+    star_view emit name (Naming.data_table ~id:v.G.tv_id ~table:v.G.tv_table)
+  | G.Forwards o ->
+    let si = G.smo gen o in
+    emit_rules_view emit lookup rename ~name si.G.si_inst.S.gamma_src
+  | G.Backwards i ->
+    let si = G.smo gen i in
+    emit_rules_view emit lookup rename ~name si.G.si_inst.S.gamma_tgt);
   (* the write side *)
   let body ?arrived_via op =
     List.map (rewrite_statement_reads rename) (tv_trigger_body gen v ?arrived_via op)

@@ -33,46 +33,11 @@ type schema_version = {
   mutable sv_tables : (string * int) list;  (** logical name -> tv id *)
 }
 
-(** How a co-materialized copy is kept up to date on writes. *)
-type comat_mode =
-  | Cm_incremental of Datalog.Ast.rule list
-      (** single-hop rules defining the copy over stored tables; per-write
-          delta rules are derived from them ({!Datalog.Delta}) *)
-  | Cm_refresh of string
-      (** no safe single-hop program (the reason is recorded): the copy is
-          fully refreshed from its source view on every relevant base write *)
-
-(** One redundantly materialized (hot) table version. *)
-type comat_copy = {
-  cm_tv : int;  (** the co-materialized table version *)
-  cm_table : string;  (** physical copy table ({!Naming.comat_table}) *)
-  cm_source : string;
-      (** source view carrying the copy-independent definition
-          ({!Naming.comat_source}) *)
-  mutable cm_mode : comat_mode;
-  mutable cm_bases : string list;
-      (** stored tables the definition reads (sorted); writes to these
-          trigger maintenance *)
-  mutable cm_proof : string;  (** how the maintenance program was justified *)
-  mutable cm_epoch : int;  (** bumped on every maintenance application *)
-  mutable cm_writes : int;  (** maintenance statements executed so far *)
-  mutable cm_rows : int;  (** rows written by maintenance so far *)
-  mutable cm_refreshes : int;  (** full refreshes so far *)
-  mutable cm_maint_ns : int;
-      (** wall-clock nanoseconds spent maintaining this copy (incremental
-          applications and full refreshes) *)
-}
-
 type t = {
   mutable next_id : int;
   table_versions : (int, table_version) Hashtbl.t;
   smos : (int, smo_instance) Hashtbl.t;
   mutable versions : schema_version list;  (** in creation order *)
-  comats : (int, comat_copy) Hashtbl.t;  (** tv id -> live copy *)
-  mutable comat_budget : int;
-      (** advisor space budget in rows across all copies; [<= 0] = unlimited *)
-  mutable comat_suspended : bool;
-      (** incremental maintenance paused (during migration flips) *)
 }
 
 exception Catalog_error of string
@@ -85,9 +50,6 @@ let create () =
     table_versions = Hashtbl.create 32;
     smos = Hashtbl.create 32;
     versions = [];
-    comats = Hashtbl.create 8;
-    comat_budget = 0;
-    comat_suspended = false;
   }
 
 let fresh_id t =
@@ -147,22 +109,6 @@ let access_case t v =
     match v.tv_in with
     | None -> Local
     | Some i -> if (smo t i).si_materialized then Local else Backwards i)
-
-(* --- co-materialized copies -------------------------------------------------- *)
-
-let is_comat t id = Hashtbl.mem t.comats id
-
-let comat t id = Hashtbl.find_opt t.comats id
-
-(** All live copies, by table-version id. *)
-let comats_list t =
-  Hashtbl.fold (fun id cm acc -> (id, cm) :: acc) t.comats []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-  |> List.map snd
-
-let comat_register t copy = Hashtbl.replace t.comats copy.cm_tv copy
-
-let comat_unregister t id = Hashtbl.remove t.comats id
 
 (* --- evolution ------------------------------------------------------------- *)
 

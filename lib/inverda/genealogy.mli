@@ -31,46 +31,11 @@ type schema_version = {
   mutable sv_tables : (string * int) list;  (** logical name -> tv id *)
 }
 
-(** How a co-materialized copy is kept up to date on writes. *)
-type comat_mode =
-  | Cm_incremental of Datalog.Ast.rule list
-      (** single-hop rules defining the copy over stored tables; per-write
-          delta rules are derived from them ({!Datalog.Delta}) *)
-  | Cm_refresh of string
-      (** no safe single-hop program (reason recorded): full refresh from the
-          source view on every relevant base write *)
-
-(** One redundantly materialized (hot) table version. *)
-type comat_copy = {
-  cm_tv : int;  (** the co-materialized table version *)
-  cm_table : string;  (** physical copy table ({!Naming.comat_table}) *)
-  cm_source : string;
-      (** source view carrying the copy-independent definition
-          ({!Naming.comat_source}) *)
-  mutable cm_mode : comat_mode;
-  mutable cm_bases : string list;
-      (** stored tables the definition reads (sorted); writes to these
-          trigger maintenance *)
-  mutable cm_proof : string;  (** how the maintenance program was justified *)
-  mutable cm_epoch : int;  (** bumped on every maintenance application *)
-  mutable cm_writes : int;  (** maintenance statements executed so far *)
-  mutable cm_rows : int;  (** rows written by maintenance so far *)
-  mutable cm_refreshes : int;  (** full refreshes so far *)
-  mutable cm_maint_ns : int;
-      (** wall-clock nanoseconds spent maintaining this copy (incremental
-          applications and full refreshes) *)
-}
-
 type t = {
   mutable next_id : int;
   table_versions : (int, table_version) Hashtbl.t;
   smos : (int, smo_instance) Hashtbl.t;
   mutable versions : schema_version list;  (** in creation order *)
-  comats : (int, comat_copy) Hashtbl.t;  (** tv id -> live copy *)
-  mutable comat_budget : int;
-      (** advisor space budget in rows across all copies; [<= 0] = unlimited *)
-  mutable comat_suspended : bool;
-      (** incremental maintenance paused (during migration flips) *)
 }
 
 exception Catalog_error of string
@@ -176,18 +141,3 @@ val enumerate_materializations : t -> int list list
 
 val physical_tables_for : t -> int list -> table_version list
 (** The physical table schema a materialization implies. *)
-
-(** {1 Co-materialized copies} *)
-
-val is_comat : t -> int -> bool
-(** Is a live redundant copy registered for this table version? *)
-
-val comat : t -> int -> comat_copy option
-
-val comats_list : t -> comat_copy list
-(** All live copies, by table-version id. *)
-
-val comat_register : t -> comat_copy -> unit
-
-val comat_unregister : t -> int -> unit
-

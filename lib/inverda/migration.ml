@@ -175,20 +175,7 @@ let atomically ?(label = "") db (gen : G.t) f =
     ~finally:(fun () -> Minidb.Metrics.resume metrics)
     (fun () ->
       Db.begin_internal_txn db;
-      (* co-materialized copies stay logically correct across flips (every
-         version's contents are preserved), but their maintenance programs
-         reference the old state: suspend per-write maintenance during the
-         data movement, then re-derive and rebuild the copies inside the
-         transaction so a failure rolls them back with everything else *)
-      let run () =
-        let was = gen.G.comat_suspended in
-        gen.G.comat_suspended <- true;
-        Fun.protect ~finally:(fun () -> gen.G.comat_suspended <- was) f;
-        let c0 = Minidb.Metrics.now_ns () in
-        Comat.refresh_all db gen;
-        note_phase "comat refresh" c0 (Minidb.Metrics.now_ns () - c0) 0
-      in
-      match run () with
+      match f () with
       | () -> Db.commit_internal_txn db
       | exception exn ->
         (* disarm any still-pending failpoint so recovery runs unimpeded *)
@@ -197,7 +184,6 @@ let atomically ?(label = "") db (gen : G.t) f =
         G.restore_materialization gen snap;
         Db.flush_view_cache db;
         Codegen.regenerate db gen;
-        Comat.rederive_all db gen;
         raise
           (Migration_error
              (Fmt.str "migration failed and was rolled back: %s"

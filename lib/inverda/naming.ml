@@ -38,10 +38,3 @@ let global_id_function = "inverda!nextid"
     that SMO's auxiliary maintenance (preventing double maintenance and
     self-wipes). *)
 let via name ~smo_id = Fmt.str "%s@%d" name smo_id
-
-(** Redundant physical copy of a co-materialized table version. *)
-let comat_table ~id ~table = Fmt.str "cm!%d!%s" id table
-
-(** Source view carrying a co-materialized table version's underlying
-    (copy-independent) definition — what the copy must always equal. *)
-let comat_source ~id ~table = Fmt.str "cmsrc!%d!%s" id table

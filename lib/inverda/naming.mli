@@ -27,10 +27,3 @@ val via : string -> smo_id:int -> string
 (** Variant of a canonical view used as the write target when a write arrives
     across the given SMO: same contents, but its triggers skip that SMO's own
     auxiliary maintenance. *)
-
-val comat_table : id:int -> table:string -> string
-(** Redundant physical copy of a co-materialized table version. *)
-
-val comat_source : id:int -> table:string -> string
-(** Source view carrying a co-materialized table version's underlying
-    (copy-independent) definition — what the copy must always equal. *)

@@ -180,7 +180,7 @@ let select_of_rule (lookup : schema_lookup) ~head_cols (r : D.rule) : Sql.select
 (** A query computing the head predicate [pred] from its rules: the UNION of
     the per-rule selects (set semantics), or an empty-relation select when no
     rule derives it. *)
-let query_of_rules ?(union_all = true) (lookup : schema_lookup) ~pred
+let query_of_rules (lookup : schema_lookup) ~pred
     (rules : D.t) : Sql.query =
   let head_cols = lookup pred in
   let mine = List.filter (fun r -> r.D.head.D.pred = pred) rules in
@@ -201,17 +201,13 @@ let query_of_rules ?(union_all = true) (lookup : schema_lookup) ~pred
   | first :: rest ->
     (* the write-path maintenance keeps the per-head rule bodies of a single
        SMO mutually exclusive (e.g. R* is cleared whenever cR holds again),
-       so by default branches combine with UNION ALL; branches that may
-       self-duplicate carry their own DISTINCT from select_of_rule.
-       Path-composed rule sets lose that invariant — negative unfolding
-       produces alternatives that can overlap — so a co-materialized copy's
-       composed program passes [~union_all:false] for set semantics across
-       branches. *)
+       so branches combine with UNION ALL; branches that may self-duplicate
+       carry their own DISTINCT from select_of_rule. *)
     let body =
       List.fold_left
         (fun acc r ->
           Sql.Union
-            (acc, Sql.Select (select_of_rule lookup ~head_cols r), union_all))
+            (acc, Sql.Select (select_of_rule lookup ~head_cols r), true))
         (Sql.Select (select_of_rule lookup ~head_cols first))
         rest
     in

@@ -24,13 +24,10 @@ val select_of_rule :
   Minidb.Sql_ast.select
 
 val query_of_rules :
-  ?union_all:bool ->
   schema_lookup ->
   pred:string ->
   Datalog.Ast.t ->
   Minidb.Sql_ast.query
 (** The query computing [pred] from its rules; an empty-relation select when
-    no rule derives it. [union_all] (default [true]) relies on the write
-    path keeping the per-head branches mutually exclusive; path-composed
-    rule sets ({!Flatten}) pass [false], since composition does not
-    preserve that invariant. *)
+    no rule derives it. Branches combine with UNION ALL, relying on the
+    write path keeping the per-head branches mutually exclusive. *)

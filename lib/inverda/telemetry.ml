@@ -252,25 +252,6 @@ let stats_json (db : Db.t) (gen : G.t) =
        (List.map
           (fun (name, w) -> Fmt.str "{\"version\":%s,\"weight\":%.4f}" (jstr name) w)
           (observed_profile db gen)));
-  add "\"comat\":{\"budget_rows\":%d,\"copies\":[%s]},"
-    gen.G.comat_budget
-    (String.concat ","
-       (List.map
-          (fun (cm : G.comat_copy) ->
-            let mode, proof =
-              match cm.G.cm_mode with
-              | G.Cm_incremental _ -> ("incremental", cm.G.cm_proof)
-              | G.Cm_refresh reason -> ("refresh", reason)
-            in
-            Fmt.str
-              "{\"tv\":%d,\"table\":%s,\"copy\":%s,\"mode\":%s,\"proof\":%s,\"dormant\":%b,\"epoch\":%d,\"maintenance_statements\":%d,\"maintenance_rows\":%d,\"refreshes\":%d,\"maintenance_us\":%d}"
-              cm.G.cm_tv
-              (jstr (G.tv gen cm.G.cm_tv).G.tv_table)
-              (jstr cm.G.cm_table) (jstr mode) (jstr proof)
-              (G.is_physical gen (G.tv gen cm.G.cm_tv))
-              cm.G.cm_epoch cm.G.cm_writes cm.G.cm_rows cm.G.cm_refreshes
-              (cm.G.cm_maint_ns / 1000))
-          (G.comats_list gen)));
   add "\"read_latency_ns\":%s," (histogram_json (M.read_histogram m));
   add "\"write_latency_ns\":%s," (histogram_json (M.write_histogram m));
   let qj arr =
@@ -302,30 +283,6 @@ let stats_text (db : Db.t) (gen : G.t) =
   add "trigger hops: %d@." m.M.trigger_hops_total;
   add "view cache: %d hits / %d misses (%.1f%% hit rate)@." hits misses
     (pct hits (hits + misses));
-  (match G.comats_list gen with
-  | [] -> add "co-materialized copies: none@."
-  | copies ->
-    add "co-materialized copies: %d (budget %s rows)@." (List.length copies)
-      (if gen.G.comat_budget <= 0 then "unlimited"
-       else string_of_int gen.G.comat_budget);
-    List.iter
-      (fun (cm : G.comat_copy) ->
-        let mode =
-          match cm.G.cm_mode with
-          | G.Cm_incremental _ -> "incremental"
-          | G.Cm_refresh _ -> "refresh"
-        in
-        let dormant =
-          if G.is_physical gen (G.tv gen cm.G.cm_tv) then " (dormant)" else ""
-        in
-        add
-          "  tv%-3d %-12s %s  epoch %d  %d stmts / %d rows / %d refreshes / \
-           %d us wall%s@."
-          cm.G.cm_tv
-          (G.tv gen cm.G.cm_tv).G.tv_table
-          mode cm.G.cm_epoch cm.G.cm_writes cm.G.cm_rows cm.G.cm_refreshes
-          (cm.G.cm_maint_ns / 1000) dormant)
-      copies);
   add "per-version traffic:@.";
   let profile = observed_profile db gen in
   List.iter
@@ -636,21 +593,7 @@ let explain_stmt ?trace (db : Db.t) (gen : G.t) stmt plan =
     (match tv_info with
     | Some v ->
       add " genealogy access path:@.";
-      genealogy_path gen [] v emit 1;
-      (match G.comat gen v.G.tv_id with
-      | Some cm when not (G.is_physical gen v) ->
-        add
-          " co-materialized: reads served by copy %s (%s, epoch %d, %d us \
-           wall maintaining)@."
-          cm.G.cm_table
-          (match cm.G.cm_mode with
-          | G.Cm_incremental _ -> "incrementally maintained"
-          | G.Cm_refresh _ -> "refresh-maintained")
-          cm.G.cm_epoch (cm.G.cm_maint_ns / 1000)
-      | Some cm ->
-        add " co-materialized: copy %s dormant (version is physical)@."
-          cm.G.cm_table
-      | None -> ())
+      genealogy_path gen [] v emit 1
     | None -> ());
     (match Db.find_object db k with
     | Some (Db.Obj_view _) ->
@@ -723,17 +666,9 @@ let explain_json (db : Db.t) (gen : G.t) sql =
     let k = key name in
     let role, tv = role_of db gen k in
     let tv_id = match tv with Some v -> string_of_int v.G.tv_id | None -> "null" in
-    let comat =
-      match tv with
-      | Some v -> (
-        match G.comat gen v.G.tv_id with
-        | Some cm when not (G.is_physical gen v) -> jstr cm.G.cm_table
-        | _ -> "null")
-      | None -> "null"
-    in
     Fmt.str
-      "{\"object\":%s,\"role\":%s,\"tv\":%s,\"comat\":%s,\"physical_tables\":[%s]}"
-      (jstr k) (jstr role) tv_id comat
+      "{\"object\":%s,\"role\":%s,\"tv\":%s,\"physical_tables\":[%s]}"
+      (jstr k) (jstr role) tv_id
       (String.concat "," (List.map jstr (physical_bases db gen k)))
   in
   let access_paths =
@@ -799,17 +734,6 @@ let metrics_text (db : Db.t) (gen : G.t) =
     per_version "inverda_version_trigger_hops_total"
       "Trigger cascade hops per schema version" (fun t -> t.t_trigger_hops)
   end;
-  (match G.comats_list gen with
-  | [] -> ()
-  | copies ->
-    add "# HELP inverda_comat_maintenance_seconds_total Wall time maintaining each co-materialized copy\n";
-    add "# TYPE inverda_comat_maintenance_seconds_total counter\n";
-    List.iter
-      (fun (cm : G.comat_copy) ->
-        add "inverda_comat_maintenance_seconds_total{copy=%s} %g\n"
-          (jstr cm.G.cm_table)
-          (float_of_int cm.G.cm_maint_ns /. 1e9))
-      copies);
   let histo name help arr total_ns =
     add "# HELP %s %s\n" name help;
     add "# TYPE %s histogram\n" name;

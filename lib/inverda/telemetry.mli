@@ -68,9 +68,8 @@ val explain_json : Minidb.Database.t -> Genealogy.t -> string -> string
 
 val metrics_text : Minidb.Database.t -> Genealogy.t -> string
 (** OpenMetrics/Prometheus text exposition: engine counters, per-schema-
-    version traffic, view-cache outcomes, comat maintenance time and the
-    latency histograms (cumulative [le] buckets, [_sum]/[_count]),
-    terminated by [# EOF]. *)
+    version traffic, view-cache outcomes and the latency histograms
+    (cumulative [le] buckets, [_sum]/[_count]), terminated by [# EOF]. *)
 
 val explain_analyze : Minidb.Database.t -> Genealogy.t -> string -> string
 (** Execute the statement with profile-mode tracing and annotate each node

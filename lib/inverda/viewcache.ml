@@ -43,12 +43,8 @@ let physical_aux (si : G.smo_instance) =
   (if si.G.si_materialized then i.S.aux_tgt else i.S.aux_src) @ i.S.aux_both
 
 (** [closure gen] maps each generated relation name to the stored tables its
-    contents depend on, transitively through the genealogy. A co-materialized
-    table version depends on its copy table alone (reads are re-anchored
-    there); [ignoring] lists table-version ids whose co-materialization is
-    disregarded — used to compute the {e underlying} closure behind a copy's
-    source view. *)
-let closure ?(ignoring = []) (gen : G.t) : string -> string list =
+    contents depend on, transitively through the genealogy. *)
+let closure (gen : G.t) : string -> string list =
   let tv_by_name = Hashtbl.create 32 in
   List.iter
     (fun v -> Hashtbl.replace tv_by_name (G.tv_name v) v)
@@ -92,18 +88,12 @@ let closure ?(ignoring = []) (gen : G.t) : string -> string list =
         Hashtbl.replace memo name r;
         r
   and tv_bases stack v =
-    if
-      G.is_comat gen v.G.tv_id
-      && (not (G.is_physical gen v))
-      && not (List.mem v.G.tv_id ignoring)
-    then [ Naming.comat_table ~id:v.G.tv_id ~table:v.G.tv_table ]
-    else
-      match G.access_case gen v with
-      | G.Local -> [ Naming.data_table ~id:v.G.tv_id ~table:v.G.tv_table ]
-      | G.Forwards o ->
-        refs_bases stack (G.smo gen o).G.si_inst.S.gamma_src (G.tv_name v)
-      | G.Backwards i ->
-        refs_bases stack (G.smo gen i).G.si_inst.S.gamma_tgt (G.tv_name v)
+    match G.access_case gen v with
+    | G.Local -> [ Naming.data_table ~id:v.G.tv_id ~table:v.G.tv_table ]
+    | G.Forwards o ->
+      refs_bases stack (G.smo gen o).G.si_inst.S.gamma_src (G.tv_name v)
+    | G.Backwards i ->
+      refs_bases stack (G.smo gen i).G.si_inst.S.gamma_tgt (G.tv_name v)
   and refs_bases stack rules pred =
     List.concat_map (bases stack) (rule_refs rules pred)
     |> List.sort_uniq compare
@@ -149,12 +139,4 @@ let register db (gen : G.t) =
             (Naming.version_view ~version:sv.G.sv_name ~table)
             (bases (G.tv_name v)))
         sv.G.sv_tables)
-    gen.G.versions;
-  (* co-materialized source views read the copy-independent definition: their
-     closure ignores the copy itself (but honours every other copy) *)
-  List.iter
-    (fun (cm : G.comat_copy) ->
-      let v = G.tv gen cm.G.cm_tv in
-      let underlying = closure ~ignoring:[ cm.G.cm_tv ] gen (G.tv_name v) in
-      Db.register_view_bases db cm.G.cm_source underlying)
-    (G.comats_list gen)
+    gen.G.versions

@@ -107,20 +107,13 @@ type t = {
           the statement-span ring buffer. Populated by {!Exec}/{!Engine}
           when [metrics.enabled] (the default); host code suspends it
           around internal statements via {!Metrics.suspend}. *)
-  mutable write_observer :
-    (Table.t -> Value.t array option -> Value.t array option -> unit) option;
-      (** Fired after every logged row write — [(table, removed, added)] —
-          from the three undo-logged funnels all statement execution goes
-          through. Never fired by {!rollback_to} (raw table operations):
-          rollback restores observed state wholesale. Used by incremental
-          co-materialization to maintain redundant copies. *)
   mutable statement_sink : (Sql_ast.statement -> string -> unit) option;
       (** Fired by {!Engine} after every {e successfully} executed top-level
           user statement — [(ast, sql text)] — under the same gating the
           telemetry uses: never inside a trigger cascade and never while
           metrics are suspended for internal work (migration data movement,
-          delta-code regeneration, comat maintenance). Used by the
-          write-ahead log; a failing statement never reaches the sink. *)
+          delta-code regeneration). Used by the write-ahead log; a failing
+          statement never reaches the sink. *)
 }
 
 exception Engine_error of string
@@ -155,12 +148,8 @@ let create () =
     view_cache_misses = 0;
     failpoint = None;
     metrics = Metrics.create ();
-    write_observer = None;
     statement_sink = None;
   }
-
-(** Install (or clear) the row-write observer. *)
-let set_write_observer t obs = t.write_observer <- obs
 
 (** Install (or clear) the committed-statement sink (the WAL hook). *)
 let set_statement_sink t sink = t.statement_sink <- sink
@@ -429,22 +418,15 @@ let nextval t name =
 
 let log t entry = t.undo <- entry :: t.undo
 
-let observe_write t tbl removed added =
-  match t.write_observer with
-  | Some obs -> obs tbl removed added
-  | None -> ()
-
 let logged_insert t tbl row =
   let rowid = Table.insert tbl row in
   log t (U_insert (tbl, rowid));
-  observe_write t tbl None (Some row);
   rowid
 
 let logged_delete t tbl rowid =
   match Table.delete tbl rowid with
   | Some row ->
     log t (U_delete (tbl, rowid, row));
-    observe_write t tbl (Some row) None;
     true
   | None -> false
 
@@ -452,7 +434,6 @@ let logged_update t tbl rowid new_row =
   match Table.update tbl rowid new_row with
   | Some old_row ->
     log t (U_update (tbl, rowid, old_row));
-    observe_write t tbl (Some old_row) (Some new_row);
     true
   | None -> false
 

@@ -8,7 +8,7 @@ let create = Database.create
 (* The committed-statement sink (the WAL hook) fires only for top-level user
    statements: never inside a trigger cascade, never while metrics are
    suspended for internal work (migration data movement, delta-code
-   regeneration, comat maintenance), and only after the statement succeeded
+   regeneration), and only after the statement succeeded
    — a failing statement rolls back and must not be logged. The SQL text is
    built lazily so the AST path pays nothing when no sink is installed. *)
 let fire_sink db stmt sql_thunk =

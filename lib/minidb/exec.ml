@@ -44,6 +44,9 @@ type eval_ctx = {
       (** plans of the expression subqueries (EXISTS, IN, scalar) compiled
           since the enclosing operator started compiling, newest first; that
           operator adopts them as inputs (see {!collecting}) *)
+  mutable expanding : string list;
+      (** views whose bodies are being compiled or evaluated right now,
+          innermost first (see {!expand_view}) *)
 }
 
 type env = {
@@ -56,7 +59,29 @@ type env = {
 type scope = { entries : (string option * string) array }
 
 let fresh_ctx db =
-  { db; cache = Hashtbl.create 16; scans = Hashtbl.create 8; subplans = [] }
+  {
+    db;
+    cache = Hashtbl.create 16;
+    scans = Hashtbl.create 8;
+    subplans = [];
+    expanding = [];
+  }
+
+(* Run [f], which expands the body of view [k]. A view met again while its
+   own body is still being expanded reads itself through a view cycle (a
+   view dropped and re-created over its dependents): the expansion would
+   never end, so it is refused. *)
+let expand_view ctx k f =
+  if List.mem k ctx.expanding then error "view %s depends on itself" k;
+  let outer = ctx.expanding in
+  ctx.expanding <- k :: outer;
+  match f () with
+  | r ->
+    ctx.expanding <- outer;
+    r
+  | exception e ->
+    ctx.expanding <- outer;
+    raise e
 
 (* Run the compile step [f] and return its result together with the plans
    of the expression subqueries it compiled, in compile order. *)
@@ -1083,8 +1108,11 @@ and view_relation ctx k (v : Db.view) : relation =
     let d = m.Metrics.cur_view_depth + 1 in
     m.Metrics.cur_view_depth <- d;
     if d > m.Metrics.max_view_depth then m.Metrics.max_view_depth <- d;
-    let _, f = compile_query ctx [] v.Db.query in
-    let rel = f { ctx; rows = []; params = no_params } in
+    let rel =
+      expand_view ctx k (fun () ->
+          let _, f = compile_query ctx [] v.Db.query in
+          f { ctx; rows = []; params = no_params })
+    in
     m.Metrics.cur_view_depth <- d - 1;
     { rel with rel_cols = v.Db.view_cols }
   in
@@ -1703,11 +1731,10 @@ and compile_select ctx outer_scopes sel : plan * (env -> relation) =
   (* second pre-pass: lift subquery-free equality conjuncts of the WHERE
      into the ON condition of the join node where their column references
      split sides. compile_from only hash-joins on ON-condition equalities,
-     so linking equalities written in the WHERE (view-over-view joins, the
-     bodies rule_sql emits for composed rules) would otherwise degrade to
-     nested loops. Inner joins only — ON and WHERE filtering coincide there —
-     and the original WHERE is kept, so this too is purely an
-     evaluation-order rewrite. *)
+     so linking equalities written in the WHERE (view-over-view joins)
+     would otherwise degrade to nested loops. Inner joins only — ON and
+     WHERE filtering coincide there — and the original WHERE is kept, so
+     this too is purely an evaluation-order rewrite. *)
   let sel =
     match sel.from, sel.where with
     | Some (From_join _ as f0), Some w when ctx.db.Db.optimizations ->
@@ -2186,7 +2213,8 @@ and view_pushdown ctx sel =
             | None -> None
             | Some body ->
               let p, fq =
-                compile_query ctx [] { body; order_by = []; limit = None }
+                expand_view ctx (Db.key vname) (fun () ->
+                    compile_query ctx [] { body; order_by = []; limit = None })
               in
               let node =
                 { kind = "view"; detail = Db.key vname; path = "pushdown";
@@ -2206,7 +2234,21 @@ and view_pushdown ctx sel =
                     else (fq { env with rows = [] }).rel_rows )))))
 
 and compile_aggregate ctx scopes sel cols produce filter =
-  let group_fns = List.map (compile_expr ctx scopes) sel.group_by in
+  (* a bare integer is a 1-based position in the select list, as in
+     PostgreSQL: the group key is that item's expression *)
+  let group_key = function
+    | Const (Value.Int n) -> (
+      match if n < 1 then None else List.nth_opt sel.items (n - 1) with
+      | Some (Sel_expr (e, _)) when not (has_aggregate e) -> e
+      | Some (Sel_expr _) ->
+        error "GROUP BY position %d refers to an aggregate" n
+      | Some (Star | Qualified_star _) -> error "star select with aggregation"
+      | None -> error "GROUP BY position %d is not in select list" n)
+    | e -> e
+  in
+  let group_fns =
+    List.map (fun e -> compile_expr ctx scopes (group_key e)) sel.group_by
+  in
   (* the only empty group is the one an ungrouped aggregate forms over an
      empty input; its bare columns read an all-NULL row *)
   let width = match scopes with s :: _ -> Array.length s.entries | [] -> 0 in
@@ -2360,8 +2402,15 @@ and compile_query ctx outer_scopes q : plan * (env -> relation) =
       collecting ctx (fun () ->
           List.map
             (fun { key; descending } ->
-              let scope = scope_of_cols cols in
-              (compile_expr ctx (scope :: outer_scopes) key, descending))
+              match key with
+              | Const (Value.Int n) ->
+                (* a 1-based position in the select list, as in PostgreSQL *)
+                if n < 1 || n > List.length cols then
+                  error "ORDER BY position %d is not in select list" n;
+                ((fun env -> (List.hd env.rows).(n - 1)), descending)
+              | _ ->
+                let scope = scope_of_cols cols in
+                (compile_expr ctx (scope :: outer_scopes) key, descending))
             q.order_by)
   in
   (* ORDER BY keys evaluate after the body, beside it *)

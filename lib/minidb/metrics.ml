@@ -14,7 +14,7 @@
 
     Spans are hierarchical: every observed top-level statement opens a
     {e trace} ({!begin_trace}); the executor records child spans (scans,
-    view expansions, joins, trigger hops, comat maintenance) under it, and
+    view expansions, joins, trigger hops) under it, and
     the statement root closes the trace ({!end_trace}). Children are
     recorded when they {e finish}, so within a trace every child precedes
     its parent in the ring and the root is always the newest span of its
@@ -52,7 +52,7 @@ type span = {
   sp_kind : string;
       (** roots: [query]/[insert]/[update]/[delete]/[ddl]/[txn]/[wal]/
           [migrate]/[recover]; children: [parse]/[plan]/[scan]/[view]/
-          [join]/[select]/[trigger]/[comat]/[append]/[fsync]/... *)
+          [join]/[select]/[trigger]/[append]/[fsync]/... *)
   sp_detail : string;  (** object or phase the span is about ("" for roots) *)
   sp_path : string;
       (** which executor path served it: [batch]/[row]/[index]/[pushdown]/
@@ -385,15 +385,6 @@ let record_child t ~kind ~detail ~path ~start_ns ~ns ~rows_in ~rows =
       sp_view_depth = 0;
       sp_first_seq = -1;
     }
-
-(** Comat maintenance runs inside a {!suspend}ed section (its internal
-    statements must not count as traffic) but is causally part of the user
-    statement that triggered it — record it as a child of the open trace,
-    bypassing the [internal_depth] gate. No-op outside a trace. *)
-let record_maintenance t ~detail ~start_ns ~ns ~rows =
-  if t.enabled && t.cur_trace >= 0 then
-    record_child t ~kind:"comat" ~detail ~path:"" ~start_ns ~ns ~rows_in:(-1)
-      ~rows
 
 (** A span that will itself have children: allocate its id up front so
     nested spans attach to it, record it on {!close_span}. *)

@@ -26,7 +26,7 @@ type span = {
   sp_kind : string;
       (** roots: [query]/[insert]/[update]/[delete]/[ddl]/[txn]/[wal]/
           [migrate]/[recover]; children: [parse]/[plan]/[scan]/[view]/
-          [join]/[select]/[trigger]/[comat]/[append]/[fsync]/[phase] *)
+          [join]/[select]/[trigger]/[append]/[fsync]/[phase] *)
   sp_detail : string;  (** object or phase the span is about *)
   sp_path : string;
       (** [batch]/[row]/[index]/[pushdown]/[cache-hit]/[computed]/"" *)
@@ -171,12 +171,6 @@ val record_child :
   unit
 (** Record a finished leaf child under the open trace's current parent.
     Callers gate on {!child_active}. *)
-
-val record_maintenance :
-  t -> detail:string -> start_ns:int -> ns:int -> rows:int -> unit
-(** Comat maintenance child: recorded even inside a {!suspend}ed section
-    (maintenance is internal work but causally part of the user statement);
-    no-op outside an open trace. *)
 
 type frame
 

@@ -168,29 +168,28 @@ let fresh_dir =
     rm_rf d;
     d
 
-(** [recovery_sweep ?stride ?max_statements ?check ~build ~workload ()] —
+(** [recovery_sweep ?stride ?max_statements ~build ~workload ()] —
     the crash-recovery counterpart of {!sweep}. For every strided failpoint
     [k]: build a fresh instance over a fresh write-ahead log ([build dir]
     must attach the log before its first statement), arm the failpoint and
     run the deterministic [workload] until the fault kills it mid-statement
-    — possibly deep inside a trigger cascade, copy maintenance or a
-    migration's data movement. The live instance is then abandoned exactly
-    as a process kill would leave the disk (with the default [Flush] mode
-    every committed record has already reached the file; any open
-    transaction is rolled back first, because a crash discards uncommitted
-    work and the log only holds committed records). {!Inverda.Api.recover}
-    rebuilds an instance from the directory alone and the sweep asserts:
-    the recovered dump is byte-identical to the live instance's committed
-    state, every version view answers with identical contents, recovering a
-    second time yields the same bytes again, and [check] holds on the
-    recovered instance. Terminates when the failpoint outlives the workload
-    — that crash-free run must recover identically, too.
+    — possibly deep inside a trigger cascade or a migration's data
+    movement. The live instance is then abandoned exactly as a process kill
+    would leave the disk (with the default [Flush] mode every committed
+    record has already reached the file; any open transaction is rolled
+    back first, because a crash discards uncommitted work and the log only
+    holds committed records). {!Inverda.Api.recover} rebuilds an instance
+    from the directory alone and the sweep asserts: the recovered dump is
+    byte-identical to the live instance's committed state, every version
+    view answers with identical contents, and recovering a second time
+    yields the same bytes again. Terminates when the failpoint outlives the
+    workload — that crash-free run must recover identically, too.
 
     The workload should stick to operations with statement-level fault
     atomicity (DML and migrations): only their post-fault live state is
     well-defined to compare against. *)
-let recovery_sweep ?(stride = 1) ?(max_statements = 200_000)
-    ?(check = fun (_ : I.t) -> ()) ~build ~workload () =
+let recovery_sweep ?(stride = 1) ?(max_statements = 200_000) ~build ~workload
+    () =
   if stride < 1 then invalid_arg "Faults.recovery_sweep: stride must be >= 1";
   let run_one k =
     let dir = fresh_dir () in
@@ -221,7 +220,6 @@ let recovery_sweep ?(stride = 1) ?(max_statements = 200_000)
         k (first_diff_line committed_dump rdump);
     if view_contents recovered <> committed_views then
       fail "failpoint %d: version-view contents differ after recovery" k;
-    check recovered;
     I.detach_wal recovered;
     let again = I.recover dir in
     if I.dump again <> rdump then
@@ -242,11 +240,9 @@ let recovery_sweep ?(stride = 1) ?(max_statements = 200_000)
 
 (** The canned crash-recovery sweep on TasKy. The log captures the whole
     history — all three versions evolve after it attaches, then a seed
-    workload, a live co-materialized copy and a mid-run checkpoint — so
-    early failpoints exercise genesis replay and later ones the
-    checkpoint-accelerated path, with skolem-generated identifiers forced
-    to reproduce exactly in both. [check] pins the copy's coherence on
-    every recovered instance. *)
+    workload and a mid-run checkpoint — so early failpoints exercise genesis
+    replay and later ones the checkpoint-accelerated path, with
+    skolem-generated identifiers forced to reproduce exactly in both. *)
 let recovery_sweep_tasky ?(tasks = 6) ?stride () =
   let build dir =
     let api = I.create () in
@@ -255,7 +251,6 @@ let recovery_sweep_tasky ?(tasks = 6) ?stride () =
     I.evolve api Tasky.bidel_do;
     I.evolve api Tasky.bidel_tasky2;
     Tasky.load_tasks api tasks;
-    I.comat_add api "TasKy2.Task";
     api
   in
   let workload api =
@@ -277,5 +272,4 @@ let recovery_sweep_tasky ?(tasks = 6) ?stride () =
       (I.exec_sql api
          "INSERT INTO TasKy.Task (author, task, prio) VALUES ('Walt', 'crash-4', 3)")
   in
-  let check api = Inverda.Comat.check (I.database api) (I.genealogy api) in
-  recovery_sweep ?stride ~check ~build ~workload ()
+  recovery_sweep ?stride ~build ~workload ()

@@ -1,10 +1,8 @@
 (* The coherence harness: at every checked state, every point of the layer
-   lattice (batch executor, view cache, planner fast paths, co-materialized
-   copies) answers the query battery exactly like the
-   reference configuration — TasKy under all five materializations with
-   copies, Wikimedia-style genealogies with and without copies across
-   migrations, and every rollback state of a stride-1 fault-injection
-   sweep. *)
+   lattice (batch executor, view cache, planner fast paths) answers the
+   query battery exactly like the reference configuration — TasKy under all
+   five materializations, Wikimedia-style genealogies across migrations,
+   and every rollback state of a stride-1 fault-injection sweep. *)
 
 module C = Scenarios.Coherence
 module F = Scenarios.Faults
@@ -13,20 +11,15 @@ module I = Inverda.Api
 let test_tasky () =
   let r = C.check_tasky ~tasks:30 ~ops:40 () in
   Alcotest.(check int) "two states per materialization" 10 r.C.states;
-  Alcotest.(check bool) "queries compared" true (r.C.queries > 0);
-  Alcotest.(check bool) "copies live at the end" true (r.C.copies > 0);
-  Alcotest.(check bool) "incremental maintenance fired" true
-    (r.C.incremental > 0);
-  Alcotest.(check bool) "maintenance wrote rows" true (r.C.maintenance_rows > 0)
+  Alcotest.(check bool) "queries compared" true (r.C.queries > 0)
 
 let test_wikimedia () =
   let r = C.check_wikimedia ~versions:6 ~pages:8 ~links:12 () in
-  Alcotest.(check int) "all five states ran" 5 r.C.states;
-  Alcotest.(check bool) "copies at mid and far end" true (r.C.copies >= 2)
+  Alcotest.(check int) "all five states ran" 5 r.C.states
 
 let test_wikimedia_migrations () =
-  (* a longer copy-free genealogy, checked initially and after migrating to
-     the middle and to the last version *)
+  (* a longer genealogy, checked initially and after migrating to the middle
+     and to the last version *)
   let api, names = Scenarios.Wikimedia.build ~versions:8 () in
   Scenarios.Wikimedia.load api ~version:names.(0) ~pages:10 ~links:15;
   let stops =
@@ -43,9 +36,7 @@ let test_wikimedia_migrations () =
   Alcotest.(check int) "initial + two migrations" 3 r.C.states
 
 let test_fault_sweep () =
-  (* two copies live: the sweep's byte-identity check pins the copy tables
-     across every rollback, and all six points answer like the reference
-     on every rollback state — copies are never half-maintained *)
+  (* all five points answer like the reference on every rollback state *)
   let reports = C.check_faults ~tasks:6 () in
   Alcotest.(check int) "five materializations" 5 (List.length reports);
   List.iter
@@ -67,5 +58,5 @@ let () =
           tc "wikimedia deep chain" test_wikimedia;
           tc "wikimedia migrations" test_wikimedia_migrations;
         ] );
-      ("atomicity", [ tc "tasky sweep with copies" test_fault_sweep ]);
+      ("atomicity", [ tc "tasky sweep at every point" test_fault_sweep ]);
     ]

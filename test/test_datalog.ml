@@ -1,10 +1,8 @@
-(* Datalog substrate: evaluation semantics, the simplification lemmas of
-   Section 5, and Appendix A — both lens laws of every SMO proved by the
-   verifier, and the paper's SPLIT derivation replayed with the lemmas. *)
+(* Datalog substrate: evaluation semantics, and Appendix A — both lens laws
+   of every SMO proved by the verifier. *)
 
 module D = Datalog.Ast
 module Eval = Datalog.Eval
-module Simp = Datalog.Simplify
 module Sql = Minidb.Sql_ast
 module Value = Minidb.Value
 
@@ -135,85 +133,6 @@ let test_safety_check () =
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "unsafe rule accepted"
 
-(* --- simplification lemmas ----------------------------------------------------- *)
-
-let test_lemma2_empty () =
-  let rules =
-    [
-      atom "out" [ v "p" ] <-- [ D.Pos (atom "r" [ v "p" ]); D.Pos (atom "e" [ v "p" ]) ];
-      atom "out2" [ v "p" ] <-- [ D.Pos (atom "r" [ v "p" ]); D.Neg (atom "e" [ v "p" ]) ];
-    ]
-  in
-  let out = Simp.simplify ~empty:[ "e" ] rules in
-  Alcotest.(check int) "one rule left" 1 (List.length out);
-  Alcotest.(check bool) "negation dropped" true
-    (Simp.rule_equivalent (List.hd out)
-       (atom "out2" [ v "p" ] <-- [ D.Pos (atom "r" [ v "p" ]) ]))
-
-let test_lemma3_tautology () =
-  let c = lt "a" 5 in
-  let rules =
-    [
-      atom "out" [ v "p"; v "a" ]
-      <-- [ D.Pos (atom "r" [ v "p"; v "a" ]); cond c ];
-      atom "out" [ v "p"; v "a" ]
-      <-- [ D.Pos (atom "r" [ v "p"; v "a" ]); cond (Simp.neg_cond c) ];
-    ]
-  in
-  let out = Simp.simplify rules in
-  Alcotest.(check int) "merged" 1 (List.length out);
-  Alcotest.(check bool) "condition dropped" true
-    (Simp.rule_equivalent (List.hd out)
-       (atom "out" [ v "p"; v "a" ] <-- [ D.Pos (atom "r" [ v "p"; v "a" ]) ]))
-
-let test_lemma4_contradiction () =
-  let c = lt "a" 5 in
-  let rules =
-    [
-      atom "out" [ v "p" ]
-      <-- [ D.Pos (atom "r" [ v "p"; v "a" ]); cond c; cond (Simp.neg_cond c) ];
-    ]
-  in
-  Alcotest.(check int) "removed" 0 (List.length (Simp.simplify rules))
-
-let test_lemma5_unique_key () =
-  (* two atoms on the same relation with the same key merge, equating their
-     payload variables *)
-  let rules =
-    [
-      atom "out" [ v "p"; v "a"; v "b" ]
-      <-- [ D.Pos (atom "r" [ v "p"; v "a" ]); D.Pos (atom "r" [ v "p"; v "b" ]) ];
-    ]
-  in
-  let out = Simp.simplify rules in
-  Alcotest.(check int) "one rule" 1 (List.length out);
-  Alcotest.(check bool) "payloads unified" true
-    (Simp.rule_equivalent (List.hd out)
-       (atom "out" [ v "p"; v "a"; v "a" ] <-- [ D.Pos (atom "r" [ v "p"; v "a" ]) ]))
-
-let test_subsumption () =
-  let rules =
-    [
-      atom "out" [ v "p" ] <-- [ D.Pos (atom "r" [ v "p" ]) ];
-      atom "out" [ v "p" ]
-      <-- [ D.Pos (atom "r" [ v "p" ]); D.Pos (atom "s" [ v "p" ]) ];
-    ]
-  in
-  Alcotest.(check int) "subsumed" 1 (List.length (Simp.simplify rules))
-
-let test_unfold_positive () =
-  let inner = [ atom "mid" [ v "p"; v "a" ] <-- [ D.Pos (atom "base" [ v "p"; v "a" ]); cond (lt "a" 5) ] ] in
-  let outer = [ atom "out" [ v "p" ] <-- [ D.Pos (atom "mid" [ v "p"; D.Anon ]) ] ] in
-  let out = Simp.compose ~inner outer in
-  Alcotest.(check int) "one rule" 1 (List.length out);
-  match out with
-  | [ r ] ->
-    Alcotest.(check bool) "references base" true
-      (List.exists
-         (function D.Pos a -> a.D.pred = "base" | _ -> false)
-         r.D.body)
-  | _ -> Alcotest.fail "unexpected"
-
 (* --- Appendix A: both laws of every SMO, decided by the one prover ---------------- *)
 
 let make_inst schemas smo_str =
@@ -280,51 +199,6 @@ let test_laws_decompose_ids () =
   check_laws "decompose cond" [ ("t", [ "a"; "b" ]) ]
     "DECOMPOSE TABLE t INTO r(a), s(b) ON a = b"
 
-(* The Appendix A derivation: compose SPLIT's gamma_src after its gamma_tgt
-   (Lemma 1 both ways, then Lemmas 2-5) with the source table stored and
-   the auxiliaries empty. The result must map the stored table to itself
-   and derive no auxiliary tuple. *)
-let test_appendix_a_derivation () =
-  let inst =
-    make_inst [ ("t", [ "a" ]) ] "SPLIT TABLE t INTO r WITH a < 5, s WITH a > 2"
-  in
-  let module S = Bidel.Smo_semantics in
-  let t = List.hd inst.S.sources in
-  let stored = t.S.rel_name ^ "!D" in
-  let mark (a : D.atom) =
-    if a.D.pred = t.S.rel_name then { a with D.pred = stored } else a
-  in
-  let inner =
-    List.map
-      (fun (r : D.rule) ->
-        {
-          r with
-          D.body =
-            List.map
-              (function
-                | D.Pos a -> D.Pos (mark a)
-                | D.Neg a -> D.Neg (mark a)
-                | l -> l)
-              r.D.body;
-        })
-      inst.S.gamma_tgt
-  in
-  let aux = List.map (fun (r : S.rel) -> r.S.rel_name) inst.S.aux_src in
-  let composed = Simp.compose ~empty:aux ~inner inst.S.gamma_src in
-  Alcotest.(check int) "the lemmas leave one rule" 1 (List.length composed);
-  let arity = List.length t.S.rel_cols in
-  let xs = List.init arity (fun i -> v (Fmt.str "x%d" i)) in
-  let identity = [ atom t.S.rel_name xs <-- [ D.Pos (atom stored xs) ] ] in
-  match
-    Analysis.Verify.equivalent_on
-      ~schema:[ (stored, arity) ]
-      ~outputs:(t.S.rel_name :: aux) ~reference:identity ~candidate:composed ()
-  with
-  | Analysis.Verify.Proved _ -> ()
-  | verdict ->
-    Alcotest.failf "gamma_src . gamma_tgt is not the identity: %s"
-      (Analysis.Verify.verdict_to_string verdict)
-
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "datalog"
@@ -339,15 +213,6 @@ let () =
           tc "self-read regression" test_eval_self_read_rejected;
           tc "safety" test_safety_check;
         ] );
-      ( "lemmas",
-        [
-          tc "lemma 2 (empty)" test_lemma2_empty;
-          tc "lemma 3 (tautology)" test_lemma3_tautology;
-          tc "lemma 4 (contradiction)" test_lemma4_contradiction;
-          tc "lemma 5 (unique key)" test_lemma5_unique_key;
-          tc "subsumption" test_subsumption;
-          tc "lemma 1 (unfold)" test_unfold_positive;
-        ] );
       ( "appendix A (symbolic)",
         [
           tc "trivial smos" test_laws_trivial;
@@ -358,6 +223,5 @@ let () =
           tc "decompose on pk" test_laws_decompose_pk;
           tc "join on pk" test_laws_join_pk;
           tc "decompose on fk and cond" test_laws_decompose_ids;
-          tc "split composes to identity" test_appendix_a_derivation;
         ] );
     ]

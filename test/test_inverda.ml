@@ -461,6 +461,28 @@ let test_advisor () =
     (Inverda.Advisor.advise_and_migrate (I.database t) gen [ ("TasKy2", 1.0) ]);
   check_all_versions t
 
+(* No observed traffic, and explicit all-zero weights: neither may divide by
+   zero or recommend migrating off the current materialization. *)
+let test_advisor_zero_profile () =
+  let t = setup_full () in
+  let cur = I.current_materialization t in
+  let conservative = function
+    | None -> Alcotest.fail "advise returned no recommendation"
+    | Some (r : Inverda.Advisor.recommendation) ->
+      Alcotest.(check (list int)) "keeps the current materialization" cur
+        r.Inverda.Advisor.materialization;
+      Alcotest.(check bool) "no arbitrary tie-break alternatives" true
+        (r.Inverda.Advisor.alternatives = [])
+  in
+  conservative (I.advise t []);
+  conservative (I.advise t [ ("TasKy", 0.0); ("TasKy2", 0.0); ("Do!", 0.0) ]);
+  (* a real profile still produces a full scored ranking *)
+  match I.advise t [ ("TasKy2", 1.0) ] with
+  | Some r ->
+    Alcotest.(check bool) "non-degenerate" true
+      (r.Inverda.Advisor.alternatives <> [])
+  | None -> Alcotest.fail "real profile got no recommendation"
+
 let test_bidel_via_sql_interface () =
   (* MATERIALIZE parsed from BiDEL text, with table-version targets *)
   let t = setup_full () in
@@ -706,6 +728,7 @@ let () =
         [
           tc "deep evolution chain" test_deep_chain_writes;
           tc "advisor" test_advisor;
+          tc "advisor zero profile" test_advisor_zero_profile;
           tc "MATERIALIZE with table targets" test_bidel_via_sql_interface;
           tc "condition decompose end to end" test_condition_decompose_end_to_end;
         ] );

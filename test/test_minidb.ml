@@ -586,6 +586,68 @@ let test_trigger_depth_guard () =
   (* and the failed cascade must have been rolled back atomically *)
   Alcotest.(check int) "rolled back" 0 (Engine.query_int db "SELECT COUNT(*) FROM t")
 
+(* A view dropped and re-created over a view that reads it closes a cycle:
+   a read through it is refused, on the plain path and through key-pinned
+   pushdown, with either executor. *)
+let test_view_cycle () =
+  List.iter
+    (fun batch ->
+      let db = Engine.create () in
+      Database.set_batch db batch;
+      ignore
+        (Engine.exec_script db
+           {|
+        CREATE TABLE x2 (p INTEGER PRIMARY KEY);
+        CREATE VIEW x1 AS SELECT * FROM x2;
+        DROP TABLE x2;
+        CREATE VIEW x2 AS SELECT * FROM x1;
+      |});
+      List.iter
+        (fun sql ->
+          match Engine.query_rows db sql with
+          | exception Exec.Exec_error msg ->
+            Alcotest.(check string) sql "view x1 depends on itself" msg
+          | _ -> Alcotest.failf "%s: a read through a view cycle returned" sql)
+        [ "SELECT * FROM x1"; "SELECT * FROM x1 WHERE p = 1" ])
+    [ true; false ]
+
+(* A bare integer in ORDER BY or GROUP BY is a 1-based position in the
+   select list, as in PostgreSQL, with either executor. *)
+let test_positional_keys () =
+  List.iter
+    (fun batch ->
+      let db = Engine.create () in
+      Database.set_batch db batch;
+      ignore
+        (Engine.exec_script db
+           {|
+        CREATE TABLE r (p INTEGER PRIMARY KEY, a INTEGER, b TEXT);
+        INSERT INTO r (p, a, b) VALUES (1, 1, 'x'), (2, 2, 'x'), (3, 2, 'y');
+      |});
+      check_rows "GROUP BY 1"
+        [ [ Value.Text "x"; Value.Int 2 ]; [ Value.Text "y"; Value.Int 1 ] ]
+        (Engine.query_rows db "SELECT b, COUNT(*) FROM r GROUP BY 1");
+      Alcotest.(check (list (list value)))
+        "ORDER BY 1 DESC"
+        [
+          [ Value.Int 3; Value.Int 2; Value.Text "y" ];
+          [ Value.Int 2; Value.Int 2; Value.Text "x" ];
+          [ Value.Int 1; Value.Int 1; Value.Text "x" ];
+        ]
+        (Engine.query_rows db "SELECT * FROM r ORDER BY 1 DESC");
+      List.iter
+        (fun (sql, expected) ->
+          match Engine.query_rows db sql with
+          | exception Exec.Exec_error msg ->
+            Alcotest.(check string) sql expected msg
+          | _ -> Alcotest.failf "%s: accepted" sql)
+        [
+          ("SELECT * FROM r ORDER BY 5", "ORDER BY position 5 is not in select list");
+          ( "SELECT b, COUNT(*) FROM r GROUP BY 3",
+            "GROUP BY position 3 is not in select list" );
+        ])
+    [ true; false ]
+
 let test_three_valued_not_in () =
   let db = Engine.create () in
   ignore
@@ -840,6 +902,8 @@ let () =
           tc "pushdown through union" test_pushdown_through_union_view;
           tc "index nested-loop join" test_index_nl_join_equivalence;
           tc "trigger depth guard" test_trigger_depth_guard;
+          tc "view cycle refused" test_view_cycle;
+          tc "positional ORDER BY and GROUP BY" test_positional_keys;
           tc "three-valued NOT IN" test_three_valued_not_in;
           tc "order by NULLs + limit" test_order_by_nulls_and_limit;
           tc "scalar multi-row error" test_scalar_subquery_multi_row_error;

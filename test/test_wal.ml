@@ -229,7 +229,6 @@ let test_audit_annotations () =
 let test_recover_checkpoint () =
   let dir = F.fresh_dir () in
   let t = build_tasky dir in
-  I.comat_add t "TasKy2.Task";
   ignore (I.exec_sql t "INSERT INTO TasKy.Task (author, task, prio) VALUES ('Bo', 'c-1', 1)");
   I.checkpoint t;
   (* tail past the checkpoint, including a migration *)
@@ -239,7 +238,6 @@ let test_recover_checkpoint () =
   I.detach_wal t;
   let r = I.recover dir in
   check_recovered ~label:"checkpointed" t r;
-  Inverda.Comat.check (I.database r) (I.genealogy r);
   (* the checkpoint is pure acceleration: genesis replay lands on the same
      bytes *)
   let g = I.replay_to ~dir (I.current_changeset r) in
@@ -380,17 +378,6 @@ let test_workload_zero_weight_mix () =
     Alcotest.(check bool) "zero-weight mix rejected" true (contains msg "zero-weight")
   | _ -> Alcotest.fail "zero-weight share mix accepted"
 
-let test_maintenance_clock_in_stats () =
-  let t = T.setup_full ~tasks:6 () in
-  I.comat_add t "TasKy2.Task";
-  ignore (I.exec_sql t "INSERT INTO TasKy.Task (author, task, prio) VALUES ('Zed', 'm-1', 1)");
-  let json = Inverda.Telemetry.stats_json (I.database t) (I.genealogy t) in
-  Alcotest.(check bool) "stats label the maintenance clock" true
-    (contains json "\"maintenance_us\":");
-  let text = Inverda.Telemetry.stats_text (I.database t) (I.genealogy t) in
-  Alcotest.(check bool) "text labels wall-clock units" true
-    (contains text "us wall")
-
 (* --- suite -------------------------------------------------------------------- *)
 
 let () =
@@ -422,6 +409,5 @@ let () =
         [
           tc "float mod" test_float_mod;
           tc "workload zero-weight mix" test_workload_zero_weight_mix;
-          tc "maintenance clock in stats" test_maintenance_clock_in_stats;
         ] );
     ]
