@@ -45,21 +45,10 @@ let print_relation (rel : Minidb.Exec.relation) =
     rel.Minidb.Exec.rel_rows;
   Fmt.pr "(%d rows)@." (List.length rel.Minidb.Exec.rel_rows)
 
-let execute t input =
-  try
-    if is_bidel input then begin
-      I.evolve t input;
-      Fmt.pr "ok@."
-    end
-    else
-      match Inverda.Changeset.split_as_of input with
-      | sql, Some changeset -> print_relation (I.as_of t ~changeset sql)
-      | _, None -> (
-        match Minidb.Engine.exec (I.database t) input with
-        | Minidb.Exec.Rows rel -> print_relation rel
-        | Minidb.Exec.Affected n -> Fmt.pr "%d rows affected@." n
-        | Minidb.Exec.Done -> Fmt.pr "ok@.")
-  with
+(* Print the error [f] raised on [input] the way the shell reports every
+   failure: located and by its message, never by its constructor. *)
+let reporting_errors input f =
+  try f () with
   | Minidb.Sql_lexer.Cursor.Parse_error msg -> Fmt.pr "parse error: %s@." msg
   | Minidb.Sql_lexer.Lex_error (msg, off) ->
     Fmt.pr "lex error: %a: %s@." Minidb.Sql_lexer.pp_pos
@@ -76,6 +65,21 @@ let execute t input =
   | Minidb.Table.Constraint_violation msg -> Fmt.pr "constraint violation: %s@." msg
   | Minidb.Value.Type_error msg -> Fmt.pr "type error: %s@." msg
   | Bidel.Smo_semantics.Semantics_error msg -> Fmt.pr "SMO error: %s@." msg
+
+let execute t input =
+  reporting_errors input (fun () ->
+      if is_bidel input then begin
+        I.evolve t input;
+        Fmt.pr "ok@."
+      end
+      else
+        match Inverda.Changeset.split_as_of input with
+        | sql, Some changeset -> print_relation (I.as_of t ~changeset sql)
+        | _, None -> (
+          match Minidb.Engine.exec (I.database t) input with
+          | Minidb.Exec.Rows rel -> print_relation rel
+          | Minidb.Exec.Affected n -> Fmt.pr "%d rows affected@." n
+          | Minidb.Exec.Done -> Fmt.pr "ok@."))
 
 let print_record (r : Minidb.Wal.record) =
   let payload =
@@ -120,14 +124,10 @@ let meta t line =
   | Some n -> print_history t (int_of_string_opt n)
   | None ->
   match arg_of ".explain" with
-  | Some sql -> (
-    try Fmt.pr "%s%!" (I.explain t sql)
-    with exn -> Fmt.pr "error: %s@." (Printexc.to_string exn))
+  | Some sql -> reporting_errors sql (fun () -> Fmt.pr "%s%!" (I.explain t sql))
   | None ->
   match arg_of ".profile" with
-  | Some sql -> (
-    try Fmt.pr "%s%!" (I.profile t sql)
-    with exn -> Fmt.pr "error: %s@." (Printexc.to_string exn))
+  | Some sql -> reporting_errors sql (fun () -> Fmt.pr "%s%!" (I.profile t sql))
   | None ->
   match arg_of ".author" with
   | Some rest -> (

@@ -9,6 +9,9 @@ dune runtest
 dune build @lint
 # bench smoke: the harness itself must run end to end at tiny scale
 dune exec bench/main.exe -- --only table2 --smoke
+# writes end to end: TasKy2 writes under all five materializations (Fig. 8
+# and Fig. 11 at tiny scale)
+dune exec bench/main.exe -- --only fig8,fig11 --smoke
 # migration atomicity: strided fault-injection sweep at small scale
 dune exec bin/inverda_cli.exe -- faults --smoke
 # coherence: each of the three optimization layers (batch executor, view

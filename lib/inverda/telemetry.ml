@@ -501,16 +501,17 @@ let operator_kind = function
   | "select" | "scan" | "view" | "join" -> true
   | _ -> false
 
-(* One plan node as a line: what the compiler chose and, once it ran, the
-   rows and time its [spans] measured — one span per evaluation — and any
-   other path they report (a computed view the cache served reads
-   [cache-hit]). *)
+(* One plan node as a line: what the compiler chose, [first-row] when it
+   stops at the first row its consumer keeps, and, once it ran, the rows and
+   time its [spans] measured — one span per evaluation — and any other path
+   they report (a computed view the cache served reads [cache-hit]). *)
 let node_line indent (p : E.plan) spans =
   let sum f = List.fold_left (fun n sp -> n + f sp) 0 spans in
   let runs = List.length spans in
   String.concat "  "
     ((String.make (2 * indent) ' ' ^ op_label p.E.kind [ p.E.detail ] p.E.path)
-    :: (if runs = 0 then []
+    :: (if p.E.first_row then [ "first-row" ] else [])
+    @ (if runs = 0 then []
         else
           [ Fmt.str "rows=%d" (sum (fun sp -> sp.M.sp_rows));
             pp_dur (sum (fun sp -> sp.M.sp_ns)) ])

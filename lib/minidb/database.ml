@@ -93,6 +93,10 @@ type t = {
       (** physical-base closure per view; [None] marks a view as uncacheable
           (e.g. an impure function in its body). Registered by the
           delta-code generator or memoized on demand. *)
+  calls_functions : (string, bool) Hashtbl.t;
+      (** per view: can evaluating it call a function other than the pure
+          built-ins? First-row mode's test ({!Exec.calls_functions}),
+          memoized until the catalog changes *)
   pure_functions : (string, unit) Hashtbl.t;
       (** registered functions that are safe to re-evaluate from a cache
           (deterministic, no observable side effects) *)
@@ -142,6 +146,7 @@ let create () =
     batch_enabled = true;
     view_cache = Hashtbl.create 64;
     view_bases = Hashtbl.create 64;
+    calls_functions = Hashtbl.create 64;
     pure_functions = Hashtbl.create 8;
     view_cache_enabled = true;
     view_cache_hits = 0;
@@ -178,13 +183,14 @@ let tick_failpoint t =
 (** Drop every cached view result (cheap; closures stay registered). *)
 let flush_view_cache t = Hashtbl.reset t.view_cache
 
-(* Any DDL can change what a view name means, so both the cached results and
-   the registered base closures are stale. Regeneration of the delta code
-   re-registers closures afterwards; generic views are re-memoized on
-   demand. *)
+(* Any DDL can change what a view name means, so the cached results, the
+   registered base closures and the memoized function tests are stale.
+   Regeneration of the delta code re-registers closures afterwards; generic
+   views are re-memoized on demand. *)
 let flush_view_metadata t =
   Hashtbl.reset t.view_cache;
-  Hashtbl.reset t.view_bases
+  Hashtbl.reset t.view_bases;
+  Hashtbl.reset t.calls_functions
 
 let set_view_cache t enabled =
   t.view_cache_enabled <- enabled;

@@ -27,9 +27,17 @@ let error fmt = Fmt.kstr (fun s -> raise (Exec_error s)) fmt
     chose it: the span [kind] and [detail] it records when it runs
     ([select], [join], [scan], [view]; the [query] root, [union], [order]
     and batch-fused [filter] nodes record none of their own), the access
-    [path] it was compiled to — the very label its span carries — and its
-    [inputs] in evaluation order. *)
-type plan = { kind : string; detail : string; path : string; inputs : plan list }
+    [path] it was compiled to — the very label its span carries — its
+    [inputs] in evaluation order, and whether it was compiled in first-row
+    mode ([first_row]: it stops at the first row its consumer keeps, see
+    {!first_row_ok}). *)
+type plan = {
+  kind : string;
+  detail : string;
+  path : string;
+  inputs : plan list;
+  first_row : bool;
+}
 
 (* --- runtime environment ------------------------------------------------ *)
 
@@ -57,6 +65,25 @@ type env = {
 
 (** A compile-time scope: for each column position its alias and name. *)
 type scope = { entries : (string option * string) array }
+
+(** A row source compiled in first-row mode: it hands the rows full
+    evaluation returns, in the same order, one at a time to its consumer's
+    test and stops at the first row the test keeps, which it returns. A test
+    handed down this way never runs a subquery, so every span recorded
+    meanwhile belongs to the source. *)
+type rows_iter = env -> (Value.t array -> bool) -> Value.t array option
+
+(* The iterator over an evaluated row list, and every row of an iterator:
+   each mode can serve the other, the native one being the cheap one. *)
+let iter_of produce : rows_iter = fun env keep -> List.find_opt keep (produce env)
+
+let drain (it : rows_iter) env =
+  let acc = ref [] in
+  ignore
+    (it env (fun row ->
+         acc := row :: !acc;
+         false));
+  List.rev !acc
 
 let fresh_ctx db =
   {
@@ -175,28 +202,10 @@ let rec has_aggregate = function
 let pure_builtins =
   [ "COALESCE"; "NULLIF"; "ABS"; "LENGTH"; "UPPER"; "LOWER"; "CONSTRAINT_ERROR" ]
 
-(** The stored tables a query's result depends on, transitively through
-    views; [None] when the query can call an impure function, whose
-    re-evaluation the cache would wrongly suppress. Registered closures
-    ({!Db.register_view_bases}) short-circuit the walk. *)
-let query_bases db q =
-  let acc = Hashtbl.create 8 in
-  let visiting = Hashtbl.create 8 in
-  let exception Uncacheable in
-  let rec walk_object name =
-    let k = Db.key name in
-    if not (Hashtbl.mem visiting k) then begin
-      Hashtbl.replace visiting k ();
-      match Db.find_object db name with
-      | Some (Db.Obj_table _) -> Hashtbl.replace acc k ()
-      | Some (Db.Obj_view v) -> (
-        match Db.view_bases_opt db k with
-        | Some (Some bases) -> List.iter (fun b -> Hashtbl.replace acc b ()) bases
-        | Some None -> raise Uncacheable
-        | None -> walk_query v.Db.query)
-      | None -> raise Uncacheable
-    end
-  and walk_query q =
+(* Apply [on_object] to every object [q] names and [on_fun] to every
+   function it calls, subqueries included. *)
+let walk_query ~on_object ~on_fun q =
+  let rec walk_query q =
     walk_set_op q.body;
     List.iter (fun (o : order_item) -> walk_expr o.key) q.order_by
   and walk_set_op = function
@@ -214,7 +223,7 @@ let query_bases db q =
     List.iter walk_expr s.group_by;
     Option.iter walk_expr s.having
   and walk_from = function
-    | From_table (name, _) -> walk_object name
+    | From_table (name, _) -> on_object name
     | From_select (q, _) -> walk_query q
     | From_join (a, _, b, cond) ->
       walk_from a;
@@ -227,10 +236,7 @@ let query_bases db q =
       walk_expr a;
       walk_expr b
     | Fun (name, args) ->
-      if
-        (not (List.mem name pure_builtins))
-        && not (Db.function_is_pure db name)
-      then raise Uncacheable;
+      on_fun name;
       List.iter walk_expr args
     | Case (arms, default) ->
       List.iter
@@ -247,9 +253,73 @@ let query_bases db q =
       walk_expr e;
       List.iter walk_expr items
   in
-  match walk_query q with
+  walk_query q
+
+(** The stored tables a query's result depends on, transitively through
+    views; [None] when the query can call an impure function, whose
+    re-evaluation the cache would wrongly suppress. Registered closures
+    ({!Db.register_view_bases}) short-circuit the walk. *)
+let query_bases db q =
+  let acc = Hashtbl.create 8 in
+  let visiting = Hashtbl.create 8 in
+  let exception Uncacheable in
+  let rec walk q = walk_query ~on_object ~on_fun q
+  and on_object name =
+    let k = Db.key name in
+    if not (Hashtbl.mem visiting k) then begin
+      Hashtbl.replace visiting k ();
+      match Db.find_object db name with
+      | Some (Db.Obj_table _) -> Hashtbl.replace acc k ()
+      | Some (Db.Obj_view v) -> (
+        match Db.view_bases_opt db k with
+        | Some (Some bases) -> List.iter (fun b -> Hashtbl.replace acc b ()) bases
+        | Some None -> raise Uncacheable
+        | None -> walk v.Db.query)
+      | None -> raise Uncacheable
+    end
+  and on_fun name =
+    if (not (List.mem name pure_builtins)) && not (Db.function_is_pure db name)
+    then raise Uncacheable
+  in
+  match walk q with
   | () -> Some (Hashtbl.fold (fun k () l -> k :: l) acc [])
   | exception Uncacheable -> None
+
+(* Can evaluating [q] call a function other than the pure built-ins? A
+   registered function may be an SMO's skolem: deterministic in its
+   arguments, so the view cache may re-serve its results, but its first call
+   for a payload allocates the next identifier, so a row left unread would
+   shift every identifier allocated after it. View bodies are walked
+   transitively, each once per catalog state ({!Db.calls_functions}); a
+   view met again while its own body is walked reads as calling. *)
+let calls_functions db q =
+  let exception Calls in
+  let rec walk q = walk_query ~on_object ~on_fun q
+  and on_object name =
+    match Db.find_object db name with
+    | Some (Db.Obj_view v) -> (
+      let k = Db.key name in
+      match Hashtbl.find_opt db.Db.calls_functions k with
+      | Some true -> raise Calls
+      | Some false -> ()
+      | None ->
+        Hashtbl.replace db.Db.calls_functions k true;
+        walk v.Db.query;
+        Hashtbl.replace db.Db.calls_functions k false)
+    | Some (Db.Obj_table _) | None -> ()
+  and on_fun name = if not (List.mem name pure_builtins) then raise Calls in
+  match walk q with () -> false | exception Calls -> true
+
+(** First-row mode, one of the planner fast paths ({!Db.optimizations}): a
+    query whose consumer needs one row (it sits under EXISTS, or says
+    LIMIT 1) compiles knowing it, and its index probes, index nested-loop
+    joins, filters, DISTINCTs and view pushdowns stop at the first row that
+    survives. That row is the one full evaluation returns first, since the
+    plan is the same and only its tail goes unread; so the query must take
+    its order from the plan (no ORDER BY), and the rows it leaves unread
+    must call no function but the pure built-ins ({!calls_functions}). *)
+let first_row_ok db q =
+  db.Db.optimizations && q.order_by = [] && not (calls_functions db q)
 
 (* --- column resolution --------------------------------------------------- *)
 
@@ -521,6 +591,14 @@ let compile_row_pred scopes e : (env -> Value.t array -> bool) option =
       fun row -> bool3 (f row) = Some true)
     (compile_row_expr scopes e)
 
+(* A compiled WHERE as a test of one row, instantiated per evaluation: a
+   row-direct predicate needs no per-row environment. *)
+let row_test w env =
+  match w with
+  | Either.Left p -> p env
+  | Either.Right f ->
+    fun row -> bool3 (f { env with rows = row :: env.rows }) = Some true
+
 (* --- batch filtering ------------------------------------------------------ *)
 
 (* Selection vectors: [None] = every row of the batch, [Some sel] = the row
@@ -653,6 +731,18 @@ let positional_items (entries : (string option * string) array) scopes items =
   in
   Option.map Array.of_list (all items)
 
+(* The projection onto [positions]: hand-rolled constructors for the common
+   small arities avoid the per-element closure call of [Array.init] in tight
+   projection loops. *)
+let project_positions positions : Value.t array -> Value.t array =
+  let n = Array.length positions in
+  match positions with
+  | [| a |] -> fun row -> [| row.(a) |]
+  | [| a; b |] -> fun row -> [| row.(a); row.(b) |]
+  | [| a; b; c |] -> fun row -> [| row.(a); row.(b); row.(c) |]
+  | [| a; b; c; d |] -> fun row -> [| row.(a); row.(b); row.(c); row.(d) |]
+  | _ -> fun row -> Array.init n (fun j -> row.(positions.(j)))
+
 (* Positions that re-emit all [width] input columns in order. *)
 let identity_positions positions width =
   Array.length positions = width
@@ -680,9 +770,12 @@ let object_read ctx name =
   match Db.find_key ctx.db detail with
   | Some (Db.Obj_table tbl) ->
     ( Schema.names tbl.Table.schema,
-      { kind = "scan"; detail; path = scan_path ctx.db; inputs = [] } )
+      { kind = "scan"; detail; path = scan_path ctx.db; inputs = [];
+        first_row = false } )
   | Some (Db.Obj_view v) ->
-    (v.Db.view_cols, { kind = "view"; detail; path = "computed"; inputs = [] })
+    ( v.Db.view_cols,
+      { kind = "view"; detail; path = "computed"; inputs = [];
+        first_row = false } )
   | None -> error "no such table or view %s" name
 
 (* Scope entries of the FROM leaf [name AS alias] with columns [cols]. *)
@@ -850,12 +943,20 @@ and compile_function ctx scopes name args =
 (* Decorrelation of EXISTS: recognise a single-select subquery over one named
    object whose correlated conjuncts are all equalities [inner_col = outer_e];
    evaluate the inner relation once per statement and probe a hash of the
-   inner key columns. Falls back to naive re-evaluation otherwise. *)
+   inner key columns. Otherwise one row answers the EXISTS, so the subquery
+   runs in first-row mode where it may ({!first_row_ok}), and is naively
+   re-evaluated where it may not. *)
 and compile_exists ctx scopes q negated =
   match decorrelate ctx scopes q with
   | Some (p, probe) ->
     ctx.subplans <- p :: ctx.subplans;
     fun env -> Value.Bool (if negated then probe env = [] else probe env <> [])
+  | None
+    when first_row_ok ctx.db q
+         && (match q.limit with Some n -> n > 0 | None -> true) ->
+    let p, first = compile_first ctx scopes { q with limit = None } in
+    ctx.subplans <- p :: ctx.subplans;
+    fun env -> Value.Bool (Option.is_some (first env (fun _ -> true)) <> negated)
   | None ->
     let fq = compile_subquery ctx scopes q in
     fun env ->
@@ -890,7 +991,9 @@ and compile_in_query ctx scopes e q negated =
     end
 
 (** Attempt to compile the subquery into [env -> matching inner rows], with
-    the plan node of the read that serves it. *)
+    the plan node of the read that serves it. An index probe returns the
+    first matching row only, read off the bucket in first-row mode: the
+    EXISTS it serves asks no more, and the probe calls nothing per row. *)
 and decorrelate ctx scopes q =
   match q with
   | { body = Select sel; order_by = []; limit = None } -> (
@@ -957,7 +1060,7 @@ and decorrelate ctx scopes q =
           | Some (tbl, idx) ->
             Some
               ( { kind = "scan"; detail = Db.key tname; path = "index";
-                  inputs = [] },
+                  inputs = []; first_row = true },
                 fun env ->
                 if Table.cardinality tbl = 0 then []
                 else
@@ -967,9 +1070,13 @@ and decorrelate ctx scopes q =
                   if not outer_ok then []
                   else
                     match fkeys_outer with
-                    | [ f ] ->
+                    | [ f ] -> (
                       let v = f env in
-                      if Value.is_null v then [] else Table.index_probe tbl idx v
+                      if Value.is_null v then []
+                      else
+                        match Table.index_rows tbl idx v () with
+                        | Seq.Cons (row, _) -> [ row ]
+                        | Seq.Nil -> [])
                     | _ -> [] )
           | None ->
           (* The memo is built lazily, once per statement (ctx). *)
@@ -1226,7 +1333,8 @@ and batch_from ctx outer_scopes from :
       match Db.find_object ctx.db name with
       | Some (Db.Obj_table tbl) ->
         let node =
-          { kind = "scan"; detail = Db.key name; path = "batch"; inputs = [] }
+          { kind = "scan"; detail = Db.key name; path = "batch"; inputs = [];
+            first_row = false }
         in
         Some
           ( leaf_entries name alias (Schema.names tbl.Table.schema),
@@ -1265,7 +1373,7 @@ and batch_from ctx outer_scopes from :
             Some
               ( entries,
                 { kind = "filter"; detail = alias; path = "batch";
-                  inputs = [ iplan ] },
+                  inputs = [ iplan ]; first_row = false },
                 fun env ->
                   let b, sel = isrc env in
                   let sel = fwhere env b sel in
@@ -1286,21 +1394,42 @@ and batch_from ctx outer_scopes from :
 (* --- FROM clause ---------------------------------------------------------- *)
 
 (* A compiled FROM produces the combined scope entries, its plan and, per
-   outer env, the list of concatenated rows. *)
-and compile_from ctx outer_scopes from :
-    (string option * string) array * plan * (env -> Value.t array list) =
+   outer env, the list of concatenated rows. Compiled [~first], it also
+   returns an iterator over them where the subtree can stop early: an index
+   nested-loop join, and a derived table, which runs in first-row mode
+   itself. *)
+and compile_from ctx ~first outer_scopes from :
+    (string option * string) array
+    * plan
+    * (env -> Value.t array list)
+    * rows_iter option =
   match from with
   | From_table (name, alias) ->
     let cols, node = object_read ctx name in
     ( leaf_entries name alias cols,
       node,
-      fun env -> (object_relation env.ctx node.detail).rel_rows )
+      (fun env -> (object_relation env.ctx node.detail).rel_rows),
+      None )
+  | From_select (q, _) when first ->
+    let p, it = compile_first ctx outer_scopes q in
+    (from_entries ctx from, p, drain it, Some it)
   | From_select (q, _) ->
     let p, fq = compile_query ctx outer_scopes q in
-    (from_entries ctx from, p, fun env -> (fq env).rel_rows)
+    (from_entries ctx from, p, (fun env -> (fq env).rel_rows), None)
   | From_join (left, kind, right, cond) ->
-    let lentries, lplan, lproduce = compile_from ctx outer_scopes left in
-    let rentries, rplan, rproduce = compile_from ctx outer_scopes right in
+    (* in first-row mode the strategy is chosen before the left side
+       compiles: only an index nested-loop join drives it row by row *)
+    let compiled_left =
+      if first then None else Some (compile_from ctx ~first outer_scopes left)
+    in
+    let lentries =
+      match compiled_left with
+      | Some (entries, _, _, _) -> entries
+      | None -> from_entries ctx left
+    in
+    let rentries, rplan, rproduce, _ =
+      compile_from ctx ~first:false outer_scopes right
+    in
     let entries = Array.append lentries rentries in
     let joined = { entries } in
     let scopes = joined :: outer_scopes in
@@ -1329,6 +1458,44 @@ and compile_from ctx outer_scopes from :
             Left (b, a)
           | e -> Right e)
         conj
+    in
+    (* index nested-loop fast path: the right side is a stored table and one
+       join key is an indexed plain column of it — probe per left row instead
+       of scanning and hashing the whole table *)
+    let right_index_probe =
+      if not ctx.db.Db.optimizations then None
+      else
+      match right with
+      | From_table (rname, _) -> (
+        match Db.find_table_opt ctx.db rname with
+        | None -> None
+        | Some tbl ->
+          List.find_map
+            (fun (lexpr, rexpr) ->
+              match rexpr with
+              | Col (q, n) -> (
+                match resolve_column rscopes q n with
+                | 0, pos -> (
+                  let cname = snd rentries.(pos) in
+                  match Table.indexed_column tbl cname with
+                  | Some idx -> Some (tbl, idx, lexpr)
+                  | None -> None)
+                | _ -> None
+                | exception _ -> None)
+              | _ -> None)
+            keys)
+      | From_select _ | From_join _ -> None
+    in
+    (* in first-row mode an index nested-loop join stops at the first
+       combined row its consumer keeps, and drives its left side in
+       first-row mode too when its residual runs no subquery (the test it
+       hands down must not) *)
+    let first_join = first && Option.is_some right_index_probe in
+    let first_left = first_join && List.for_all subquery_free residual in
+    let _, lplan, lproduce, lfirst =
+      match compiled_left with
+      | Some compiled -> compiled
+      | None -> compile_from ctx ~first:first_left outer_scopes left
     in
     let fresidual, residual_plans =
       collecting ctx (fun () ->
@@ -1360,33 +1527,6 @@ and compile_from ctx outer_scopes from :
       | [] -> fun _ -> true
       | [ p ] -> p
       | fs -> fun row -> List.for_all (fun p -> p row) fs
-    in
-    (* index nested-loop fast path: the right side is a stored table and one
-       join key is an indexed plain column of it — probe per left row instead
-       of scanning and hashing the whole table *)
-    let right_index_probe =
-      if not ctx.db.Db.optimizations then None
-      else
-      match right with
-      | From_table (rname, _) -> (
-        match Db.find_table_opt ctx.db rname with
-        | None -> None
-        | Some tbl ->
-          List.find_map
-            (fun (lexpr, rexpr) ->
-              match rexpr with
-              | Col (q, n) -> (
-                match resolve_column rscopes q n with
-                | 0, pos -> (
-                  let cname = snd rentries.(pos) in
-                  match Table.indexed_column tbl cname with
-                  | Some idx -> Some (tbl, idx, lexpr)
-                  | None -> None)
-                | _ -> None
-                | exception _ -> None)
-              | _ -> None)
-            keys)
-      | From_select _ | From_join _ -> None
     in
     (* a key expression that is a plain depth-0 column reads by position,
        with no per-row environment allocation *)
@@ -1503,7 +1643,7 @@ and compile_from ctx outer_scopes from :
         | exception Exec_error _ -> None)
       | _ -> None
     in
-    let produce =
+    let produce, first_produce =
       match right_index_probe with
     | Some (tbl, idx, lkey_expr) ->
       let flkey = key_reader lscopes lkey_expr in
@@ -1514,40 +1654,81 @@ and compile_from ctx outer_scopes from :
         match keys with
         | [ _ ] -> None
         | _ ->
+          let flkeys = List.map (fun (a, _) -> key_reader lscopes a) keys in
+          let frkeys = List.map (fun (_, b) -> key_reader rscopes b) keys in
           Some
-            ( List.map (fun (a, _) -> key_reader lscopes a) keys,
-              List.map (fun (_, b) -> key_reader rscopes b) keys )
+            (fun env lrow ->
+              let lkeyvals = List.map (fun f -> f lrow env) flkeys in
+              fun rrow ->
+                let rkeyvals = List.map (fun f -> f rrow env) frkeys in
+                List.for_all2
+                  (fun a b ->
+                    (not (Value.is_null a))
+                    && (not (Value.is_null b))
+                    && Value.equal a b)
+                  lkeyvals rkeyvals)
       in
-      fun env ->
-        (* accumulator loop instead of [concat_map]: the common case of a
-           unique-key probe yields one candidate per left row, which conses
-           straight onto the accumulator with no per-row closure *)
-        let lrows = lproduce env in
-        let residual_ok = residual_pred env in
-        List.rev
-          (List.fold_left
-             (fun acc lrow ->
-               let v = flkey lrow env in
-               let candidates =
-                 if Value.is_null v then [] else Table.index_probe tbl idx v
-               in
-               emit residual_ok acc lrow
-                 (match verify with
-                 | None -> candidates
-                 | Some (flkeys, frkeys) ->
-                   let lkeyvals = List.map (fun f -> f lrow env) flkeys in
-                   List.filter
-                     (fun rrow ->
-                       let rkeyvals = List.map (fun f -> f rrow env) frkeys in
-                       List.for_all2
-                         (fun a b ->
-                           (not (Value.is_null a))
-                           && (not (Value.is_null b))
-                           && Value.equal a b)
-                         lkeyvals rkeyvals)
-                     candidates))
-             [] lrows)
+      ( (fun env ->
+          (* accumulator loop instead of [concat_map]: the common case of a
+             unique-key probe yields one candidate per left row, which conses
+             straight onto the accumulator with no per-row closure *)
+          let lrows = lproduce env in
+          let residual_ok = residual_pred env in
+          List.rev
+            (List.fold_left
+               (fun acc lrow ->
+                 let v = flkey lrow env in
+                 let candidates =
+                   if Value.is_null v then [] else Table.index_probe tbl idx v
+                 in
+                 emit residual_ok acc lrow
+                   (match verify with
+                   | None -> candidates
+                   | Some verify -> List.filter (verify env lrow) candidates))
+               [] lrows)),
+        (* first-row mode: the same pairings in the same order, each handed
+           to [keep] as it is made; the right bucket is read row by row *)
+        if not first_join then None
+        else
+        Some (fun env keep ->
+          let residual_ok = residual_pred env in
+          let found = ref None in
+          let offer row =
+            keep row
+            && begin
+                 found := Some row;
+                 true
+               end
+          in
+          let pair lrow =
+            let v = flkey lrow env in
+            let candidates =
+              if Value.is_null v then Seq.empty else Table.index_rows tbl idx v
+            in
+            let candidates =
+              match verify with
+              | None -> candidates
+              | Some verify -> Seq.filter (verify env lrow) candidates
+            in
+            let matched = ref false in
+            Seq.exists
+              (fun rrow ->
+                let row = combine lrow rrow in
+                (no_residual || residual_ok row)
+                && begin
+                     matched := true;
+                     offer row
+                   end)
+              candidates
+            || (kind = Left_outer && (not !matched)
+               && offer (combine lrow null_right))
+          in
+          (match lfirst with
+          | Some lfirst when first_left -> ignore (lfirst env pair)
+          | _ -> ignore (List.exists pair (lproduce env)));
+          !found) )
     | None -> (
+    let produce =
     match batch_join with
     | Some (_, produce) -> produce
     | None -> (
@@ -1608,14 +1789,17 @@ and compile_from ctx outer_scopes from :
         List.rev
           (List.fold_left
              (fun acc lrow -> emit residual_ok acc lrow rrows)
-             [] lrows)))
+             [] lrows))
+    in
+    (produce, None))
     in
     (* one span per evaluation, labelled with the strategy chosen above;
        an index-probed right side is read through its index, and a batch
        join reads both sides off their columnar sources *)
     let jpath, jinputs =
       match right_index_probe, batch_join with
-      | Some _, _ -> ("index", [ lplan; { rplan with path = "index" } ])
+      | Some _, _ ->
+        ("index", [ lplan; { rplan with path = "index"; first_row = first_join } ])
       | _, Some (bplans, _) -> ("batch", bplans)
       | _ -> ((if keys <> [] then "hash" else "loop"), [ lplan; rplan ])
     in
@@ -1629,20 +1813,38 @@ and compile_from ctx outer_scopes from :
     in
     let node =
       { kind = "join"; detail = jdetail; path = jpath;
-        inputs = jinputs @ residual_plans }
+        inputs = jinputs @ residual_plans; first_row = first_join }
     in
     let m = ctx.db.Db.metrics in
-    ( entries,
-      node,
-      fun env ->
+    let run_rows env =
+      if Metrics.child_active m then (
+        let fr = Metrics.open_span m in
+        let rows = produce env in
+        let n = if m.Metrics.detail then List.length rows else -1 in
+        Metrics.close_span m fr ~kind:node.kind ~detail:node.detail
+          ~path:node.path ~rows_in:(-1) ~rows:n;
+        rows)
+      else produce env
+    in
+    match first_produce with
+    | Some first_produce ->
+      let run_first env keep =
         if Metrics.child_active m then (
           let fr = Metrics.open_span m in
-          let rows = produce env in
-          let n = if m.Metrics.detail then List.length rows else -1 in
+          let n = ref 0 in
+          let r =
+            first_produce env (fun row ->
+                incr n;
+                keep row)
+          in
           Metrics.close_span m fr ~kind:node.kind ~detail:node.detail
-            ~path:node.path ~rows_in:(-1) ~rows:n;
-          rows)
-        else produce env )
+            ~path:node.path ~rows_in:(-1)
+            ~rows:(if m.Metrics.detail then !n else -1);
+          r)
+        else first_produce env keep
+      in
+      (entries, node, drain run_first, Some run_first)
+    | _ -> (entries, node, run_rows, None)
 
 (* --- output column naming ------------------------------------------------- *)
 
@@ -1686,7 +1888,8 @@ and query_columns ctx q =
 
 (* --- SELECT ---------------------------------------------------------------- *)
 
-and compile_select ctx outer_scopes sel : plan * (env -> relation) =
+and compile_select ctx ?(first = false) outer_scopes sel :
+    plan * (env -> relation) * rows_iter option =
   (* pre-pass: an equality conjunct pinning an alias-qualified column to a
      column-free expression is pushed onto that join side ({!pin_side}). The
      original WHERE is kept, so this is purely an evaluation-order rewrite. *)
@@ -1784,15 +1987,6 @@ and compile_select ctx outer_scopes sel : plan * (env -> relation) =
       end
     | _ -> sel
   in
-  let entries, from_plans, produce =
-    match sel.from with
-    | None -> ([||], [], fun _ -> [ [||] ])
-    | Some f ->
-      let entries, p, produce = compile_from ctx outer_scopes f in
-      (entries, [ p ], produce)
-  in
-  let scope = { entries } in
-  let scopes = scope :: outer_scopes in
   let aggregating =
     sel.group_by <> []
     || List.exists
@@ -1800,11 +1994,35 @@ and compile_select ctx outer_scopes sel : plan * (env -> relation) =
          sel.items
     || match sel.having with Some h -> has_aggregate h | None -> false
   in
+  (* first-row mode ({!first_row_ok}): a non-aggregating select stops its
+     filter at the first row that survives it, its DISTINCT and its
+     consumer's test. When its WHERE and items run no subquery, it hands
+     that test down to its source, which then stops early too; a view
+     pushdown carries it into the view body beside the pushed pin. *)
+  let first = first && not aggregating in
+  let pass_down =
+    first
+    && (match sel.where with Some w -> subquery_free w | None -> true)
+    && List.for_all
+         (function Sel_expr (e, _) -> subquery_free e | Star | Qualified_star _ -> true)
+         sel.items
+  in
+  let entries, from_plans, produce, from_first =
+    match sel.from with
+    | None -> ([||], [], (fun _ -> [ [||] ]), None)
+    | Some f ->
+      let entries, p, produce, it =
+        compile_from ctx ~first:pass_down outer_scopes f
+      in
+      (entries, [ p ], produce, it)
+  in
+  let scope = { entries } in
+  let scopes = scope :: outer_scopes in
   let cols = select_columns ctx sel in
   (* plan choice: view pushdown, then the index equality probe, then the
      columnar batch pipeline, then plain row-at-a-time interpretation *)
-  let vpd = view_pushdown ctx sel in
-  let ifp = index_fast_path ctx sel scope scopes in
+  let vpd = view_pushdown ctx ~first:pass_down sel in
+  let ifp = index_fast_path ctx ~first:pass_down sel scope scopes in
   (* batch pipeline: FROM is batch-producible and the whole WHERE compiles
      to selection-vector conjuncts — then filtering runs typed over the
      columnar snapshot and the WHERE is consumed here *)
@@ -1827,17 +2045,21 @@ and compile_select ctx outer_scopes sel : plan * (env -> relation) =
                   (b, fw env b s) ))))
     | _ -> None
   in
-  let path, source, produce =
+  (* the batch pipeline filters the whole snapshot at once: first-row mode
+     does not reach it *)
+  let first = first && Option.is_none batch_pipe in
+  let path, source, produce, source_first =
     match vpd, ifp, batch_pipe with
-    | Some (p, produce), _, _ -> ("pushdown", [ p ], produce)
-    | None, Some (p, produce), _ -> ("index", [ p ], produce)
+    | Some (p, produce, it), _, _ -> ("pushdown", [ p ], produce, it)
+    | None, Some (p, produce, it), _ -> ("index", [ p ], produce, it)
     | None, None, Some (p, bp) ->
       ( "batch",
         [ p ],
-        fun env ->
+        (fun env ->
           let b, s = bp env in
-          Batch.rows_for_sel b s )
-    | None, None, None -> ("row", from_plans, produce)
+          Batch.rows_for_sel b s),
+        None )
+    | None, None, None -> ("row", from_plans, produce, from_first)
   in
   (* the WHERE, the items and GROUP BY compile their expression subqueries
      here, and those run under this select's span: collect their plans (by
@@ -1866,18 +2088,9 @@ and compile_select ctx outer_scopes sel : plan * (env -> relation) =
       | None -> Some (Either.Right (compile_expr ctx scopes w)))
   in
   let filter env rows =
-    match fwhere with
-    | None -> rows
-    | Some (Either.Left p) ->
-      (* row-direct predicate: no per-row environment *)
-      let p = p env in
-      List.filter p rows
-    | Some (Either.Right f) ->
-      List.filter
-        (fun row -> bool3 (f { env with rows = row :: env.rows }) = Some true)
-        rows
+    match fwhere with None -> rows | Some w -> List.filter (row_test w env) rows
   in
-  let eval =
+  let eval, first_eval =
     if not aggregating then begin
     let direct_positions = positional_items entries scopes sel.items in
     let identity_projection =
@@ -1889,6 +2102,34 @@ and compile_select ctx outer_scopes sel : plan * (env -> relation) =
       | Some ps -> identity_positions ps (Array.length entries)
       | None -> false
     in
+    let item_fns =
+      match direct_positions with
+      | Some _ -> []
+      | None ->
+        List.concat_map
+          (function
+            | Star ->
+              List.init (Array.length entries) (fun i ->
+                  fun (env : env) -> (List.hd env.rows).(i))
+            | Qualified_star q ->
+              let positions = ref [] in
+              Array.iteri
+                (fun i (alias, _) ->
+                  match alias with
+                  | Some a
+                    when String.lowercase_ascii a = String.lowercase_ascii q ->
+                    positions := i :: !positions
+                  | _ -> ())
+                entries;
+              List.rev_map
+                (fun i -> fun (env : env) -> (List.hd env.rows).(i))
+                !positions
+            | Sel_expr (e, _) ->
+              let f = compile_expr ctx scopes e in
+              [ f ])
+          sel.items
+    in
+    let eval =
     match direct_positions with
     | Some _ when identity_projection -> (
       match batch_pipe with
@@ -1940,17 +2181,7 @@ and compile_select ctx outer_scopes sel : plan * (env -> relation) =
           { rel_cols = cols; rel_rows = rows;
             rel_count = Batch.sel_length b s }
     | Some positions ->
-      let n = Array.length positions in
-      (* hand-rolled constructors for the common small arities avoid the
-         per-element closure call of [Array.init] in tight projection loops *)
-      let project : Value.t array -> Value.t array =
-        match positions with
-        | [| a |] -> fun row -> [| row.(a) |]
-        | [| a; b |] -> fun row -> [| row.(a); row.(b) |]
-        | [| a; b; c |] -> fun row -> [| row.(a); row.(b); row.(c) |]
-        | [| a; b; c; d |] -> fun row -> [| row.(a); row.(b); row.(c); row.(d) |]
-        | _ -> fun row -> Array.init n (fun j -> row.(positions.(j)))
-      in
+      let project = project_positions positions in
       if sel.distinct then
         (* fused project-and-dedupe: one pass, no intermediate row list. The
            seen-set is bucketed by the first output column (cheap to hash —
@@ -1992,30 +2223,6 @@ and compile_select ctx outer_scopes sel : plan * (env -> relation) =
           in
           { rel_cols = cols; rel_rows = out; rel_count = !n }
     | None ->
-    let item_fns =
-      List.concat_map
-        (function
-          | Star ->
-            List.init (Array.length entries) (fun i ->
-                fun (env : env) -> (List.hd env.rows).(i))
-          | Qualified_star q ->
-            let positions = ref [] in
-            Array.iteri
-              (fun i (alias, _) ->
-                match alias with
-                | Some a
-                  when String.lowercase_ascii a = String.lowercase_ascii q ->
-                  positions := i :: !positions
-                | _ -> ())
-              entries;
-            List.rev_map
-              (fun i -> fun (env : env) -> (List.hd env.rows).(i))
-              !positions
-          | Sel_expr (e, _) ->
-            let f = compile_expr ctx scopes e in
-            [ f ])
-        sel.items
-    in
     fun env ->
       let rows = filter env (produce env) in
       let n = ref 0 in
@@ -2031,30 +2238,107 @@ and compile_select ctx outer_scopes sel : plan * (env -> relation) =
         let out, n = dedupe out in
         { rel_cols = cols; rel_rows = out; rel_count = n }
       else { rel_cols = cols; rel_rows = out; rel_count = !n }
+    in
+    (* first-row mode: the rows [eval] returns, in its order, each handed to
+       [keep] as it survives; a source that cannot stop early is read in
+       full *)
+    let first_eval =
+      if not first then None
+      else
+      let source_first =
+        match source_first with Some it when pass_down -> Some it | _ -> None
+      in
+      let project : env -> Value.t array -> Value.t array =
+        match direct_positions with
+        | Some _ when identity_projection -> fun _ row -> row
+        | Some positions ->
+          let project = project_positions positions in
+          fun _ -> project
+        | None ->
+          fun env row ->
+            let env' = { env with rows = row :: env.rows } in
+            Array.of_list (List.map (fun f -> f env') item_fns)
+      in
+      Some (fun env keep ->
+      let test =
+        match fwhere with Some w -> row_test w env | None -> fun _ -> true
+      in
+      let project = project env in
+      let seen = if sel.distinct then Some (Hashtbl.create 8) else None in
+      let found = ref None in
+      let offer row =
+        test row
+        &&
+        let out = project row in
+        (match seen with
+        | None -> true
+        | Some h ->
+          (not (Hashtbl.mem h out))
+          && begin
+               Hashtbl.replace h out ();
+               true
+             end)
+        && keep out
+        && begin
+             found := Some out;
+             true
+           end
+      in
+      (match source_first with
+      | Some source_first -> ignore (source_first env offer)
+      | None -> ignore (List.exists offer (produce env)));
+      !found)
+    in
+    (eval, first_eval)
     end
-    else compile_aggregate ctx scopes sel cols produce filter
+    else (compile_aggregate ctx scopes sel cols produce filter, None)
   in
   let subplans = List.rev ctx.subplans in
   ctx.subplans <- saved;
   let node =
-    { kind = "select"; detail = ""; path; inputs = source @ subplans }
+    { kind = "select"; detail = ""; path; inputs = source @ subplans;
+      first_row = first }
   in
   (* profile mode records one [select] node per plan with its exact output
-     cardinality; off the hot path otherwise *)
+     cardinality (in first-row mode, the rows handed to the consumer); off
+     the hot path otherwise *)
   let m = ctx.db.Db.metrics in
-  ( node,
-    fun env ->
+  match first_eval with
+  | None ->
+    ( node,
+      (fun env ->
+        if m.Metrics.detail && Metrics.child_active m then (
+          let fr = Metrics.open_span m in
+          let rel = eval env in
+          let rows =
+            if rel.rel_count >= 0 then rel.rel_count
+            else List.length rel.rel_rows
+          in
+          Metrics.close_span m fr ~kind:node.kind ~detail:node.detail
+            ~path:node.path ~rows_in:(-1) ~rows;
+          rel)
+        else eval env),
+      None )
+  | Some first_eval ->
+    let run_first env keep =
       if m.Metrics.detail && Metrics.child_active m then (
         let fr = Metrics.open_span m in
-        let rel = eval env in
-        let rows =
-          if rel.rel_count >= 0 then rel.rel_count
-          else List.length rel.rel_rows
+        let n = ref 0 in
+        let r =
+          first_eval env (fun row ->
+              incr n;
+              keep row)
         in
         Metrics.close_span m fr ~kind:node.kind ~detail:node.detail
-          ~path:node.path ~rows_in:(-1) ~rows;
-        rel)
-      else eval env )
+          ~path:node.path ~rows_in:(-1) ~rows:!n;
+        r)
+      else first_eval env keep
+    in
+    ( node,
+      (fun env ->
+        let rows = drain run_first env in
+        { rel_cols = cols; rel_rows = rows; rel_count = List.length rows }),
+      Some run_first )
 
 and dedupe rows =
   (* rows are immutable by convention; the generic hash/equality on arrays is
@@ -2075,7 +2359,7 @@ and dedupe rows =
   in
   (out, Hashtbl.length seen)
 
-and index_fast_path ctx sel scope scopes =
+and index_fast_path ctx ~first sel scope scopes =
   if not ctx.db.Db.optimizations then None
   else
   match sel.from, sel.where with
@@ -2106,25 +2390,52 @@ and index_fast_path ctx sel scope scopes =
       | Some (idx, key_expr) ->
         let fkey = compile_expr ctx (List.tl scopes) key_expr in
         let node =
-          { kind = "scan"; detail = Db.key tname; path = "index"; inputs = [] }
+          { kind = "scan"; detail = Db.key tname; path = "index"; inputs = [];
+            first_row = first }
         in
         let m = ctx.db.Db.metrics in
-        Some
-          ( node,
-            fun env ->
-              if Metrics.child_active m then (
-                let t0 = Metrics.now_ns () in
-                let v = fkey env in
-                let rows =
-                  if Value.is_null v then [] else Table.index_probe tbl idx v
-                in
-                Metrics.record_child m ~kind:node.kind ~detail:node.detail
-                  ~path:node.path ~start_ns:t0 ~ns:(Metrics.now_ns () - t0)
-                  ~rows_in:(Table.cardinality tbl) ~rows:(List.length rows);
-                rows)
-              else
-                let v = fkey env in
-                if Value.is_null v then [] else Table.index_probe tbl idx v )))
+        let record t0 n =
+          Metrics.record_child m ~kind:node.kind ~detail:node.detail
+            ~path:node.path ~start_ns:t0 ~ns:(Metrics.now_ns () - t0)
+            ~rows_in:(Table.cardinality tbl) ~rows:n
+        in
+        if first then
+          (* the bucket read in rowid order, up to the first row kept *)
+          let first_produce env keep =
+            let v = fkey env in
+            let rows =
+              if Value.is_null v then Seq.empty else Table.index_rows tbl idx v
+            in
+            if Metrics.child_active m then (
+              let t0 = Metrics.now_ns () in
+              let n = ref 0 in
+              let r =
+                Seq.find
+                  (fun row ->
+                    incr n;
+                    keep row)
+                  rows
+              in
+              record t0 !n;
+              r)
+            else Seq.find keep rows
+          in
+          Some (node, drain first_produce, Some first_produce)
+        else
+          let produce env =
+            if Metrics.child_active m then (
+              let t0 = Metrics.now_ns () in
+              let v = fkey env in
+              let rows =
+                if Value.is_null v then [] else Table.index_probe tbl idx v
+              in
+              record t0 (List.length rows);
+              rows)
+            else
+              let v = fkey env in
+              if Value.is_null v then [] else Table.index_probe tbl idx v
+          in
+          Some (node, produce, None)))
   | _ -> None
 
 (* Key-filter pushdown into views: a select over a single *view* whose WHERE
@@ -2133,7 +2444,7 @@ and index_fast_path ctx sel scope scopes =
    Applied recursively through view chains, this turns point lookups along
    InVerDa's generated delta code into O(depth) instead of O(depth x N).
    Returns None when the view shape does not allow it. *)
-and view_pushdown ctx sel =
+and view_pushdown ctx ~first sel =
   if not ctx.db.Db.optimizations then None
   else
   match sel.from, sel.where with
@@ -2212,26 +2523,55 @@ and view_pushdown ctx sel =
             match rewrite_set_op q.body with
             | None -> None
             | Some body ->
-              let p, fq =
+              let q = { body; order_by = []; limit = None } in
+              (* in first-row mode the body runs in first-row mode too,
+                 handed the consumer's test: its first row is one the
+                 consumer keeps *)
+              let p, body =
                 expand_view ctx (Db.key vname) (fun () ->
-                    compile_query ctx [] { body; order_by = []; limit = None })
+                    if first then
+                      let p, it = compile_first ctx [] q in
+                      (p, `First it)
+                    else
+                      let p, fq = compile_query ctx [] q in
+                      (p, `All fq))
               in
               let node =
                 { kind = "view"; detail = Db.key vname; path = "pushdown";
-                  inputs = [ p ] }
+                  inputs = [ p ]; first_row = first }
               in
               let m = ctx.db.Db.metrics in
-              Some
-                ( node,
-                  fun (env : env) ->
-                    if Metrics.child_active m then (
-                      let fr = Metrics.open_span m in
-                      let rows = (fq { env with rows = [] }).rel_rows in
-                      Metrics.close_span m fr ~kind:node.kind
-                        ~detail:node.detail ~path:node.path ~rows_in:(-1)
-                        ~rows:(List.length rows);
-                      rows)
-                    else (fq { env with rows = [] }).rel_rows )))))
+              match body with
+              | `All fq ->
+                let produce (env : env) =
+                  if Metrics.child_active m then (
+                    let fr = Metrics.open_span m in
+                    let rows = (fq { env with rows = [] }).rel_rows in
+                    Metrics.close_span m fr ~kind:node.kind
+                      ~detail:node.detail ~path:node.path ~rows_in:(-1)
+                      ~rows:(List.length rows);
+                    rows)
+                  else (fq { env with rows = [] }).rel_rows
+                in
+                Some (node, produce, None)
+              | `First it ->
+                let first_produce (env : env) keep =
+                  let env = { env with rows = [] } in
+                  if Metrics.child_active m then (
+                    let fr = Metrics.open_span m in
+                    let n = ref 0 in
+                    let r =
+                      it env (fun row ->
+                          incr n;
+                          keep row)
+                    in
+                    Metrics.close_span m fr ~kind:node.kind
+                      ~detail:node.detail ~path:node.path ~rows_in:(-1)
+                      ~rows:!n;
+                    r)
+                  else it env keep
+                in
+                Some (node, drain first_produce, Some first_produce)))))
 
 and compile_aggregate ctx scopes sel cols produce filter =
   (* a bare integer is a 1-based position in the select list, as in
@@ -2373,14 +2713,26 @@ and compile_aggregate ctx scopes sel cols produce filter =
 (* --- queries ---------------------------------------------------------------- *)
 
 and compile_query ctx outer_scopes q : plan * (env -> relation) =
+  if q.limit = Some 1 && first_row_ok ctx.db q then begin
+    (* LIMIT 1 without ORDER BY: the first row of the plan, in first-row
+       mode *)
+    let p, first = compile_first ctx outer_scopes { q with limit = None } in
+    let cols = query_columns ctx q in
+    ( p,
+      fun env ->
+        match first env (fun _ -> true) with
+        | Some row -> { rel_cols = cols; rel_rows = [ row ]; rel_count = 1 }
+        | None -> { rel_cols = cols; rel_rows = []; rel_count = 0 } )
+  end
+  else
   let rec of_set_op = function
     | Select sel -> compile_select ctx outer_scopes sel
     | Union (a, b, all) ->
-      let pa, fa = of_set_op a in
-      let pb, fb = of_set_op b in
+      let pa, fa, _ = of_set_op a in
+      let pb, fb, _ = of_set_op b in
       ( { kind = "union"; detail = (if all then "all" else ""); path = "";
-          inputs = [ pa; pb ] },
-        fun env ->
+          inputs = [ pa; pb ]; first_row = false },
+        (fun env ->
         let ra = fa env and rb = fb env in
         let rows = ra.rel_rows @ rb.rel_rows in
         if all then
@@ -2392,9 +2744,10 @@ and compile_query ctx outer_scopes q : plan * (env -> relation) =
           { rel_cols = ra.rel_cols; rel_rows = rows; rel_count = n }
         else
           let rows, n = dedupe rows in
-          { rel_cols = ra.rel_cols; rel_rows = rows; rel_count = n } )
+          { rel_cols = ra.rel_cols; rel_rows = rows; rel_count = n }),
+        None )
   in
-  let body, fbody = of_set_op q.body in
+  let body, fbody, _ = of_set_op q.body in
   let cols = query_columns ctx q in
   let forder, order_plans =
     if q.order_by = [] then ([], [])
@@ -2416,7 +2769,8 @@ and compile_query ctx outer_scopes q : plan * (env -> relation) =
   (* ORDER BY keys evaluate after the body, beside it *)
   ( (if order_plans = [] then body
      else
-       { kind = "order"; detail = ""; path = ""; inputs = body :: order_plans }),
+       { kind = "order"; detail = ""; path = ""; inputs = body :: order_plans;
+         first_row = false }),
     fun env ->
     let rel = fbody env in
     let rows =
@@ -2457,6 +2811,41 @@ and compile_query ctx outer_scopes q : plan * (env -> relation) =
       in
       let rows = take n rows in
       { rel_cols = rel.rel_cols; rel_rows = rows; rel_count = !taken } )
+
+(* A query compiled in first-row mode: its plan and an iterator over the
+   rows [compile_query] would return, in the same order. A query that sorts
+   or limits is evaluated in full and then iterated. *)
+and compile_first ctx outer_scopes q : plan * rows_iter =
+  if q.order_by <> [] || q.limit <> None then
+    let p, fq = compile_query ctx outer_scopes q in
+    (p, iter_of (fun env -> (fq env).rel_rows))
+  else
+    let rec of_set_op = function
+      | Select sel -> (
+        match compile_select ctx ~first:true outer_scopes sel with
+        | p, _, Some first -> (p, first)
+        | p, f, None -> (p, iter_of (fun env -> (f env).rel_rows)))
+      | Union (a, b, all) ->
+        let pa, fa = of_set_op a in
+        let pb, fb = of_set_op b in
+        ( { kind = "union"; detail = (if all then "all" else ""); path = "";
+            inputs = [ pa; pb ]; first_row = true },
+          fun env keep ->
+            (* UNION keeps the first occurrence of each row *)
+            let keep =
+              if all then keep
+              else
+                let seen = Hashtbl.create 8 in
+                fun row ->
+                  (not (Hashtbl.mem seen row))
+                  && begin
+                       Hashtbl.replace seen row ();
+                       keep row
+                     end
+            in
+            match fa env keep with Some r -> Some r | None -> fb env keep )
+    in
+    of_set_op q.body
 
 (* --- statements --------------------------------------------------------------- *)
 
@@ -2512,7 +2901,9 @@ let plan db q =
     in
     { p with inputs = List.map expand inputs }
   in
-  expand { kind = "query"; detail = ""; path = ""; inputs = compiled q }
+  expand
+    { kind = "query"; detail = ""; path = ""; inputs = compiled q;
+      first_row = false }
 
 let span_shape stmt =
   match stmt with
@@ -2926,7 +3317,7 @@ and affected_view_rows db params view cols where =
       having = None;
     }
   in
-  let _, f = compile_select ctx [] sel in
+  let _, f, _ = compile_select ctx [] sel in
   (f { ctx; rows = []; params }).rel_rows
 
 and exec_delete db params table where =

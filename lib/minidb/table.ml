@@ -1,11 +1,12 @@
 (** Mutable stored tables: rows keyed by an internal rowid, with optional
     unique primary key and secondary hash indexes. *)
 
+module Rowids = Set.Make (Int)
+
 type bucket = {
-  ids : (int, unit) Hashtbl.t;
-  mutable sorted : int list option;
-      (** memoized ascending rowids — probe loops re-read unchanged buckets
-          once per row, so the sort must not be paid per lookup *)
+  mutable ids : Rowids.t;
+      (** ascending rowids: a probe reads its first rows straight off the
+          ordered set, with no sort and no copy of the bucket *)
   mutable bucket_rows : (Value.t array list * int) option;
       (** memoized rows (ascending rowid) with the table epoch they were read
           at; any write bumps the epoch, so staleness is one int compare *)
@@ -67,24 +68,18 @@ let create ~name ~schema ~pk =
 let cardinality t = Hashtbl.length t.rows
 
 let index_add idx v rowid =
-  let bucket =
-    match Hashtbl.find_opt idx.entries v with
-    | Some b -> b
-    | None ->
-      let b = { ids = Hashtbl.create 2; sorted = None; bucket_rows = None } in
-      Hashtbl.replace idx.entries v b;
-      b
-  in
-  Hashtbl.replace bucket.ids rowid ();
-  bucket.sorted <- None
+  match Hashtbl.find_opt idx.entries v with
+  | Some b -> b.ids <- Rowids.add rowid b.ids
+  | None ->
+    Hashtbl.replace idx.entries v
+      { ids = Rowids.singleton rowid; bucket_rows = None }
 
 let index_remove idx v rowid =
   match Hashtbl.find_opt idx.entries v with
   | None -> ()
   | Some b ->
-    Hashtbl.remove b.ids rowid;
-    b.sorted <- None;
-    if Hashtbl.length b.ids = 0 then Hashtbl.remove idx.entries v
+    b.ids <- Rowids.remove rowid b.ids;
+    if Rowids.is_empty b.ids then Hashtbl.remove idx.entries v
 
 let add_index t column =
   let pos = Schema.index t.schema column in
@@ -103,22 +98,12 @@ let remove_index t column = Hashtbl.remove t.indexes (String.lowercase_ascii col
 let indexed_column t column =
   Hashtbl.find_opt t.indexes (String.lowercase_ascii column)
 
-(** Rowids whose indexed column equals [v], in ascending rowid order (plain
-    [Hashtbl.fold] order would leak into index-probe plans and make result
-    order depend on hashing). *)
+(** Rowids whose indexed column equals [v], in ascending rowid order, the
+    order every index plan reads them in. *)
 let index_lookup idx v =
   match Hashtbl.find_opt idx.entries v with
   | None -> []
-  | Some b -> (
-    match b.sorted with
-    | Some l -> l
-    | None ->
-      let l =
-        Hashtbl.fold (fun rowid () acc -> rowid :: acc) b.ids []
-        |> List.sort compare
-      in
-      b.sorted <- Some l;
-      l)
+  | Some b -> Rowids.elements b.ids
 
 (** Rows whose indexed column equals [v], in ascending rowid order. The row
     list is memoized on the bucket together with the table epoch it was read
@@ -132,20 +117,23 @@ let index_probe t idx v =
     match b.bucket_rows with
     | Some (rows, e) when e = t.epoch -> rows
     | _ ->
-      let ids =
-        match b.sorted with
-        | Some l -> l
-        | None ->
-          let l =
-            Hashtbl.fold (fun rowid () acc -> rowid :: acc) b.ids []
-            |> List.sort compare
-          in
-          b.sorted <- Some l;
-          l
+      let rows =
+        List.filter_map (Hashtbl.find_opt t.rows) (Rowids.elements b.ids)
       in
-      let rows = List.filter_map (fun rowid -> Hashtbl.find_opt t.rows rowid) ids in
       b.bucket_rows <- Some (rows, t.epoch);
       rows)
+
+(** The rows of {!index_probe}, in the same order, read one at a time: a
+    first-row consumer that stops after k rows reads k rows of the bucket
+    (or of its memoized list when that is current), never the whole of it,
+    in O(log n + k). *)
+let index_rows t idx v =
+  match Hashtbl.find_opt idx.entries v with
+  | None -> Seq.empty
+  | Some b -> (
+    match b.bucket_rows with
+    | Some (rows, e) when e = t.epoch -> List.to_seq rows
+    | _ -> Seq.filter_map (Hashtbl.find_opt t.rows) (Rowids.to_seq b.ids))
 
 let pk_conflict t row =
   match t.pk with

@@ -14,8 +14,12 @@
     Every point must answer exactly like the reference (rows sorted: the
     executors scan in different physical orders by design); where the cache
     is on, each query runs twice and the second, cache-served answer is the
-    one compared. The full dump must be byte-identical at every point
-    (reading never disturbs state). *)
+    one compared. Then one write goes through each version view, inside a
+    transaction that is rolled back afterwards, and its queries run again:
+    their answers must be the reference's after the same write, so a cache
+    that served results across a write would fail. The full dump must be
+    byte-identical at every point (reading, and a rolled-back write, never
+    disturb state). *)
 
 module I = Inverda.Api
 module G = Inverda.Genealogy
@@ -73,24 +77,64 @@ let templates db view =
         view view c0 c0;
     ]
 
-(* [(sql, sorted rows)] for the battery over every version view, in catalog
-   order; with [twice] the second (cache-served) answer is kept. *)
-let battery ~where ~twice api =
-  let ask sql =
-    try
-      if twice then ignore (I.query_rows api sql);
-      List.sort compare (I.query_rows api sql)
-    with e -> fail "%s: %s raised %s" where sql (Printexc.to_string e)
-  in
+(* Every version view, in catalog order. *)
+let version_views api =
   List.concat_map
     (fun (sv : G.schema_version) ->
-      List.concat_map
-        (fun (table, _) ->
-          Inverda.Naming.version_view ~version:sv.G.sv_name ~table
-          |> templates (I.database api)
-          |> List.map (fun sql -> (sql, ask sql)))
+      List.map
+        (fun (table, _) -> Inverda.Naming.version_view ~version:sv.G.sv_name ~table)
         sv.G.sv_tables)
     (I.genealogy api).G.versions
+
+(* The write a state puts between the runs of a view's queries: delete the
+   row with the least key through the view (none when the view is empty).
+   Chosen once per state, so every point makes the same write. *)
+let writes api =
+  List.map
+    (fun view ->
+      let write =
+        match I.query_rows api (Fmt.str "SELECT MIN(p) FROM \"%s\"" view) with
+        | [ [ k ] ] when not (Minidb.Value.is_null k) ->
+          Some
+            (Fmt.str "DELETE FROM \"%s\" WHERE p = %s" view
+               (Minidb.Value.to_literal k))
+        | _ -> None
+      in
+      (view, write))
+    (version_views api)
+
+(* [(label, sorted rows)] for the battery over every version view, in
+   catalog order: each query with [twice] the second (cache-served) answer,
+   then each again after the view's write, which is rolled back. *)
+let battery ~where ~twice api writes =
+  let guard sql f =
+    try f () with e -> fail "%s: %s raised %s" where sql (Printexc.to_string e)
+  in
+  let ask ~twice sql =
+    guard sql (fun () ->
+        if twice then ignore (I.query_rows api sql);
+        List.sort compare (I.query_rows api sql))
+  in
+  let run sql = guard sql (fun () -> ignore (I.exec_sql api sql)) in
+  List.concat_map
+    (fun (view, write) ->
+      let queries = templates (I.database api) view in
+      let before = List.map (fun sql -> (sql, ask ~twice sql)) queries in
+      match write with
+      | None -> before
+      | Some write ->
+        run "BEGIN";
+        let after =
+          Fun.protect
+            ~finally:(fun () -> run "ROLLBACK")
+            (fun () ->
+              run write;
+              List.map
+                (fun sql -> (sql ^ " after " ^ write, ask ~twice:false sql))
+                queries)
+        in
+        before @ after)
+    writes
 
 (* --- one state ------------------------------------------------------------ *)
 
@@ -105,13 +149,14 @@ let empty = { states = 0; queries = 0 }
     raise {!Coherence_failure} naming [label], the point and the query on
     the first divergence. Leaves every layer on. *)
 let check ~label api acc =
+  let writes = writes api in
   let runs =
     List.map
       (fun (name, off) ->
         configure api off;
         let answers =
           battery ~where:(Fmt.str "%s: %s point" label name)
-            ~twice:(not (List.mem Cache off)) api
+            ~twice:(not (List.mem Cache off)) api writes
         in
         (name, answers, I.dump api))
       points

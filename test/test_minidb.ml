@@ -680,6 +680,69 @@ let test_order_by_nulls_and_limit () =
     [ [ Value.Int 5 ]; [ Value.Int 1 ] ]
     (Engine.query_rows db "SELECT a FROM t ORDER BY a DESC LIMIT 2")
 
+(* First-row mode over the shapes it stops early on — index probes, index
+   nested-loop joins (inner and left outer), DISTINCT, UNION and UNION ALL
+   views, derived tables: LIMIT 1 returns the first row of the same query
+   without it, and EXISTS is true exactly when rows exist, on both
+   executors. *)
+let test_first_row_answers () =
+  List.iter
+    (fun batch ->
+      let db = Engine.create () in
+      Database.set_batch db batch;
+      ignore
+        (Engine.exec_script db
+           {|
+        CREATE TABLE t (p INTEGER PRIMARY KEY, a INTEGER, b TEXT);
+        CREATE INDEX t_a ON t (a);
+        CREATE TABLE u (p INTEGER PRIMARY KEY, a INTEGER);
+        CREATE INDEX u_a ON u (a);
+        INSERT INTO t (p, a, b) VALUES (1, 1, 'x'), (2, 1, 'y'), (3, 2, 'x'),
+          (4, 1, 'x'), (5, 7, 'z');
+        INSERT INTO u (p, a) VALUES (10, 1), (11, 2), (12, 1);
+        CREATE VIEW v AS SELECT DISTINCT t.a AS a, t.b AS b FROM u JOIN t
+          ON u.a = t.a;
+        CREATE VIEW w AS SELECT p, a FROM t UNION SELECT p, a FROM u;
+        CREATE VIEW w2 AS SELECT a FROM t UNION ALL SELECT a FROM u;
+      |});
+      List.iter
+        (fun (select, from_where) ->
+          let q = select ^ " " ^ from_where in
+          let label = Fmt.str "%s (batch %b)" q batch in
+          let first =
+            match Engine.query_rows db q with [] -> [] | r :: _ -> [ r ]
+          in
+          Alcotest.(check (list (list value)))
+            (label ^ " LIMIT 1") first
+            (Engine.query_rows db (q ^ " LIMIT 1"));
+          Alcotest.(check bool) (label ^ " EXISTS") (first <> [])
+            (Engine.query_rows db
+               (Fmt.str "SELECT 1 WHERE EXISTS (SELECT * %s)" from_where)
+            <> []))
+        [
+          ("SELECT b", "FROM t WHERE a = 1");
+          ("SELECT b", "FROM t WHERE a = 1 AND b <> 'x'");
+          ("SELECT DISTINCT b", "FROM t WHERE a = 1");
+          ("SELECT a, b", "FROM v WHERE a = 1 AND b = 'x'");
+          ("SELECT a, b", "FROM v WHERE a = 3");
+          ("SELECT p", "FROM w WHERE a = 1 AND p > 2");
+          ("SELECT a", "FROM w2 WHERE a = 2");
+          ("SELECT t1.b", "FROM u JOIN t t1 ON u.a = t1.a WHERE u.p = 12");
+          ("SELECT t.b, u.p", "FROM t LEFT JOIN u ON u.a = t.a WHERE t.p = 5");
+          ("SELECT x.b", "FROM (SELECT b, a FROM t WHERE a = 1) x WHERE x.b = 'y'");
+        ];
+      let plan sql =
+        match Sql_parser.statement_of_string sql with
+        | Sql_ast.Query q -> Exec.plan db q
+        | _ -> Alcotest.fail "not a query"
+      in
+      let rec marked (p : Exec.plan) = p.Exec.first_row || List.exists marked p.Exec.inputs in
+      Alcotest.(check bool) "UNION runs in first-row mode" true
+        (marked (plan "SELECT p FROM w WHERE a = 1 LIMIT 1"));
+      Alcotest.(check bool) "no LIMIT, no first-row mode" false
+        (marked (plan "SELECT p FROM w WHERE a = 1")))
+    [ true; false ]
+
 let test_scalar_subquery_multi_row_error () =
   let db = fresh_tasky () in
   match Engine.query db "SELECT (SELECT p FROM task)" with
@@ -848,8 +911,90 @@ let qsuite =
         in
         plain = distinct)
   in
+  (* after any sequence of writes, each index bucket of a table lists the
+     ascending rowids a filtered scan finds, reads the same rows in the same
+     order eagerly and lazily, and its first k rows read lazily are that
+     list's prefix *)
+  let index_buckets_ordered =
+    let op =
+      Gen.(
+        oneof
+          [
+            map2 (fun k a -> `Insert (k, a)) (int_bound 30) (int_bound 4);
+            map2 (fun i a -> `Update (i, a)) small_nat (int_bound 4);
+            map (fun i -> `Delete i) small_nat;
+            map (fun i -> `Restore i) small_nat;
+            return `Clear;
+          ])
+    in
+    Test.make ~name:"index buckets list ascending rowids" ~count:200
+      (make Gen.(list_size (0 -- 60) op))
+      (fun ops ->
+        let t =
+          Table.create ~name:"t"
+            ~schema:
+              (Schema.make
+                 [ Schema.column "p" Value.TInt; Schema.column "a" Value.TInt ])
+            ~pk:(Some 0)
+        in
+        Table.add_index t "a";
+        let deleted = ref [] in
+        let nth_row i =
+          match List.sort compare (Table.to_rows t) with
+          | [] -> None
+          | rows -> Some (List.nth rows (i mod List.length rows))
+        in
+        List.iter
+          (function
+            | `Insert (k, a) -> (
+              try ignore (Table.insert t [| Value.Int k; Value.Int a |])
+              with Table.Constraint_violation _ -> ())
+            | `Update (i, a) -> (
+              match nth_row i with
+              | Some (rowid, row) ->
+                ignore (Table.update t rowid [| row.(0); Value.Int a |])
+              | None -> ())
+            | `Delete i -> (
+              match nth_row i with
+              | Some (rowid, row) ->
+                ignore (Table.delete t rowid);
+                deleted := (rowid, row) :: !deleted
+              | None -> ())
+            | `Restore i -> (
+              match !deleted with
+              | [] -> ()
+              | ds ->
+                let rowid, row = List.nth ds (i mod List.length ds) in
+                deleted := List.filter (fun (r, _) -> r <> rowid) ds;
+                if Table.find t rowid = None && not (Table.pk_conflict t row)
+                then Table.restore t rowid row)
+            | `Clear ->
+              Table.clear t;
+              deleted := [])
+          ops;
+        let scan = List.sort compare (Table.to_rows t) in
+        List.for_all
+          (fun (col, pos) ->
+            let idx = Option.get (Table.indexed_column t col) in
+            List.for_all
+              (fun v ->
+                let hits = List.filter (fun (_, row) -> row.(pos) = v) scan in
+                let rowids = Table.index_lookup idx v in
+                let rows = List.map snd hits in
+                rowids = List.map fst hits
+                && List.for_all
+                     (fun k ->
+                       List.of_seq (Seq.take k (Table.index_rows t idx v))
+                       = List.filteri (fun i _ -> i < k) rows)
+                     (List.init (List.length rows + 2) Fun.id)
+                && Table.index_probe t idx v = rows
+                && List.of_seq (Table.index_rows t idx v) = rows)
+              (List.init 32 (fun i -> Value.Int i)))
+          [ ("p", 0); ("a", 1) ])
+  in
   List.map QCheck_alcotest.to_alcotest
-    [ ins_then_count; update_preserves_count; sum_linear; dedupe_idempotent ]
+    [ ins_then_count; update_preserves_count; sum_linear; dedupe_idempotent;
+      index_buckets_ordered ]
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
@@ -906,6 +1051,7 @@ let () =
           tc "positional ORDER BY and GROUP BY" test_positional_keys;
           tc "three-valued NOT IN" test_three_valued_not_in;
           tc "order by NULLs + limit" test_order_by_nulls_and_limit;
+          tc "first-row answers" test_first_row_answers;
           tc "scalar multi-row error" test_scalar_subquery_multi_row_error;
           tc "update via IN subquery" test_update_via_in_subquery;
           tc "rollback restores sequences" test_rollback_restores_sequences;

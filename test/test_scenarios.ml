@@ -383,12 +383,119 @@ let qcheck_optimizer_equivalence =
       in
       build true = build false)
 
+let qcheck_first_row =
+  (* first-row mode answers like full evaluation: an EXISTS like the COUNT
+     of its query, a LIMIT 1 like the first row of its query without it —
+     under every materialization, after seeded writes, for keys [k] and [j]
+     drawn from the instance's own *)
+  QCheck.Test.make ~name:"first-row EXISTS and LIMIT 1 agree with full evaluation"
+    ~count:25
+    QCheck.(quad (int_bound 4) int small_nat small_nat)
+    (fun (mat_idx, seed, ki, ji) ->
+      let t = Scenarios.Tasky.setup_full ~tasks:30 () in
+      let mats = Inverda.Genealogy.enumerate_materializations (I.genealogy t) in
+      I.set_materialization t (List.nth mats (mat_idx mod List.length mats));
+      let db = I.database t in
+      ignore
+        (Scenarios.Workload.replay_profile
+           (Scenarios.Workload.make_runner
+              ~rng:(Scenarios.Rng.create ~seed:(abs seed) ())
+              db)
+           ~shares:Scenarios.Workload.[ (V_tasky, 0.3); (V_tasky2, 0.4); (V_do, 0.3) ]
+           ~mix:Scenarios.Workload.paper_mix ~ops:40);
+      let rows sql = Minidb.Engine.query_rows db sql in
+      let keys =
+        rows "SELECT p FROM TasKy2.Author UNION SELECT p FROM TasKy2.Task"
+        |> List.sort compare |> Array.of_list
+      in
+      let key i =
+        if Array.length keys = 0 then "0"
+        else Value.to_string (List.hd keys.(i mod Array.length keys))
+      in
+      let k = key ki in
+      (* [j] among [k]'s own tasks when it has some, so that the EXISTS is
+         false exactly when [k] keeps one task *)
+      let j =
+        match rows (Fmt.str "SELECT p FROM TasKy2.Task WHERE author = %s" k) with
+        | [] -> key ji
+        | tasks -> Value.to_string (List.hd (List.nth tasks (ji mod List.length tasks)))
+      in
+      let where = Fmt.str "author = %s AND p <> %s" k j in
+      let count =
+        Minidb.Engine.query_int db ("SELECT COUNT(*) FROM TasKy2.Task WHERE " ^ where)
+      in
+      let exists =
+        rows
+          (Fmt.str "SELECT 1 WHERE EXISTS (SELECT * FROM TasKy2.Task WHERE %s)"
+             where)
+        <> []
+      in
+      exists = (count > 0)
+      && List.for_all
+           (fun view ->
+             let q = Fmt.str "SELECT * FROM %s WHERE p = %s" view k in
+             let first = match rows q with [] -> [] | r :: _ -> [ r ] in
+             rows (q ^ " LIMIT 1") = first)
+           [ "TasKy2.Author"; "TasKy2.Task"; "TasKy.Task"; "Do!.Todo" ])
+
 let property_tests =
   List.map QCheck_alcotest.to_alcotest
     [
       qcheck_differential; qcheck_no_duplicate_keys; qcheck_migration_invariance;
-      qcheck_optimizer_equivalence;
+      qcheck_optimizer_equivalence; qcheck_first_row;
     ]
+
+(* --- writes in O(|delta|) ------------------------------------------------------ *)
+
+(* The rows a statement's operators produce, summed over the operator spans
+   of its profile-mode trace (rows entering an operator are not counted). *)
+let rows_produced db sql =
+  let m = db.Minidb.Database.metrics in
+  Minidb.Metrics.set_detail m true;
+  ignore (Minidb.Engine.exec db sql);
+  Minidb.Metrics.set_detail m false;
+  match List.rev (Minidb.Metrics.recent_traces m) with
+  | [] -> Alcotest.failf "%s: no trace recorded" sql
+  | tr :: _ ->
+    List.fold_left
+      (fun n (sp : Minidb.Metrics.span) ->
+        match sp.Minidb.Metrics.sp_kind with
+        | "select" | "scan" | "view" | "join" -> n + max 0 sp.Minidb.Metrics.sp_rows
+        | _ -> n)
+      0 tr.Minidb.Metrics.tr_spans
+
+(* A TasKy2 write at the initial materialization reads a bounded number of
+   rows whatever the table holds: the partner lookup and the "does this
+   author keep a task" test stop at their first row instead of reading every
+   task of the author. So growing TasKy from 5,000 to 50,000 tasks (each
+   author's fan-out with it) must not grow what an insert, an update or a
+   delete through TasKy2.Task produces. *)
+let test_tasky2_writes_bounded () =
+  let produced tasks =
+    let t = Scenarios.Tasky.setup_full ~tasks () in
+    let db = I.database t in
+    let author =
+      match Minidb.Engine.query_rows db "SELECT p FROM TasKy2.Author" with
+      | [ p ] :: _ -> Value.to_string p
+      | _ -> Alcotest.fail "TasKy2.Author is empty"
+    in
+    List.map
+      (fun (name, sql) -> (name, rows_produced db sql))
+      [
+        ( "insert",
+          "INSERT INTO TasKy2.Task (task, prio, author) VALUES ('new', 2, "
+          ^ author ^ ")" );
+        ("update", "UPDATE TasKy2.Task SET task = 'upd' WHERE p = 1");
+        ("delete", "DELETE FROM TasKy2.Task WHERE p = 2");
+      ]
+  in
+  let small = produced 5_000 and large = produced 50_000 in
+  List.iter2
+    (fun (name, s) (_, l) ->
+      Alcotest.(check bool)
+        (Fmt.str "TasKy2 %s: %d rows at 50,000 tasks, %d at 5,000" name l s)
+        true (l <= s))
+    small large
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
@@ -415,5 +522,7 @@ let () =
           slow "full 171-version histogram (Table 4)" test_wikimedia_histogram_full;
         ] );
       ("two-smo", [ slow "all 36 chains" test_two_smo_chains ]);
+      ( "writes",
+        [ slow "TasKy2 writes bounded in the table size" test_tasky2_writes_bounded ] );
       ("properties", property_tests);
     ]

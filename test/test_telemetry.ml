@@ -394,6 +394,11 @@ let analyze_queries =
      t WHERE t.author = a.p)";
     "SELECT name FROM TasKy2.Author a WHERE a.p IN (SELECT author FROM \
      TasKy2.Task WHERE prio = 1)";
+    (* first-row mode: a LIMIT 1 point read, and an EXISTS that does not
+       decorrelate *)
+    "SELECT name FROM TasKy2.Author WHERE p = 13 LIMIT 1";
+    "SELECT name FROM TasKy2.Author a WHERE EXISTS (SELECT * FROM TasKy2.Task \
+     WHERE author = 13 AND p <> 1)";
   |]
 
 (* EXPLAIN ANALYZE tells the truth: it pairs every operator span of the
@@ -452,6 +457,34 @@ let test_explain_analyze_is_what_ran () =
           check_plan_is_what_ran t sql (label ^ " warm"))
         analyze_queries)
     [ true; false ]
+
+(* EXPLAIN marks the nodes compiled in first-row mode, down to the index
+   probes that stop at the first row, and none when the planner fast paths
+   (first-row mode among them) are off. *)
+let test_explain_first_row () =
+  let t = Scenarios.Tasky.setup_full ~tasks:12 () in
+  let marked sql =
+    String.split_on_char '\n' (I.explain t sql)
+    |> List.filter (fun line -> contains line "  first-row")
+  in
+  List.iter
+    (fun sql ->
+      let lines = marked sql in
+      Alcotest.(check bool) (sql ^ ": a select runs in first-row mode") true
+        (List.exists (fun l -> contains l "select via") lines);
+      Alcotest.(check bool) (sql ^ ": an index probe stops at the first row")
+        true
+        (List.exists (fun l -> contains l "scan aux!6!id via index") lines))
+    [
+      "SELECT name FROM TasKy2.Author WHERE p = 13 LIMIT 1";
+      "SELECT 1 WHERE EXISTS (SELECT * FROM TasKy2.Task WHERE author = 13 AND \
+       p <> 1)";
+    ];
+  Alcotest.(check (list string)) "no LIMIT: no first-row node" []
+    (marked "SELECT name FROM TasKy2.Author WHERE p = 13");
+  (I.database t).Minidb.Database.optimizations <- false;
+  Alcotest.(check (list string)) "fast paths off: no first-row node" []
+    (marked "SELECT name FROM TasKy2.Author WHERE p = 13 LIMIT 1")
 
 (* The same exactness must hold away from TasKy: the synthetic Wikimedia
    genealogy exercises much deeper view stacks (filler tables, long SMO
@@ -570,5 +603,6 @@ let () =
             test_explain_analyze_is_what_ran;
           tc "analyze exact on Wikimedia genealogy"
             test_explain_analyze_wikimedia;
+          tc "first-row nodes marked" test_explain_first_row;
         ] );
     ]
