@@ -893,8 +893,8 @@ let wal ?out ?(gate = 1.15) scale =
     interpreter (BENCH_PR9.json). The TasKy read suite's local, distance-2
     and Do! statements are measured cache-off (every read pays full
     delta-code evaluation) with batch execution on and off, interleaved
-    best-of-rounds ({!interleaved_min}); toggling flushes the column cache,
-    so each batch round's warm-up read re-pays extraction and the
+    best-of-rounds ({!interleaved_min}); toggling drops the tables' column
+    snapshots, so each batch round's warm-up read re-pays extraction and the
     steady-state figures are honest about amortization. At full scale (>= 100k tasks) the cold
     distance-2 read must come out at least [gate]x faster through the
     batch pipeline; below that the ratio is only reported, since per-read

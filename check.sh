@@ -42,6 +42,12 @@ for field in enabled observed_statements engine_statements trigger_hops \
   echo "$stats_json" | grep -q "\"$field\"" \
     || { echo "check.sh: stats --json is missing \"$field\"" >&2; exit 1; }
 done
+# EXPLAIN: the --json document carries every field of its per-object schema
+explain_json=$(dune exec bin/inverda_cli.exe -- explain --demo --json 'SELECT * FROM TasKy2.Task')
+for field in object role tv physical_tables; do
+  echo "$explain_json" | grep -q "\"$field\"" \
+    || { echo "check.sh: explain --json is missing \"$field\"" >&2; exit 1; }
+done
 # telemetry: span ring fills, stays bounded, and every span renders as JSON
 dune exec bin/inverda_cli.exe -- trace --smoke
 # telemetry: measured read overhead must stay within the gate at smoke scale

@@ -263,7 +263,6 @@ let all_or_nothing t f =
         Hashtbl.remove t.skolems fname;
         Db.unregister_function t.db fname)
       !added;
-    Db.flush_view_cache t.db;
     Codegen.regenerate t.db t.gen;
     raise exn
 
@@ -552,15 +551,51 @@ let describe t =
 
 module W = Minidb.Wal
 
+(** Close the log; further statements are no longer recorded. *)
+let detach_wal t =
+  match t.wal with
+  | None -> ()
+  | Some s ->
+    Changeset.detach s;
+    t.wal <- None;
+    Db.set_statement_sink t.db None
+
 (** Attach a changeset log in [dir]: a torn tail is repaired, the history is
     reloaded and every subsequent committed statement (DML/DDL through the
     engine, evolutions, migrations) appends one record.
     The instance's state must correspond to the log — a fresh instance with
-    a fresh directory, or the result of {!recover}. [sync] defaults to
+    a fresh directory, or the result of {!recover}. An instance that already
+    holds a schema version or a table is refused with {!Inverda_error} when
+    the log holds no record and no checkpoint: its log would start in the
+    middle of a history it does not hold, and no recovery could replay it.
+    Nothing is attached or created then. [sync] defaults to
     {!Minidb.Wal.Flush}. *)
 let attach_wal ?sync t dir =
-  (match t.wal with Some s -> Changeset.detach s | None -> ());
-  let s = Changeset.attach ?sync dir in
+  detach_wal t;
+  let on_empty () =
+    let held =
+      match t.gen.G.versions with
+      | sv :: _ -> Some ("schema version " ^ sv.G.sv_name)
+      | [] ->
+        List.find_map
+          (function
+            | Db.Obj_table tbl -> Some ("table " ^ tbl.Minidb.Table.name)
+            | Db.Obj_view _ -> None)
+          (Db.list_objects t.db)
+    in
+    Option.iter
+      (fun held ->
+        raise
+          (Inverda_error
+             (Fmt.str
+                "cannot attach the log in %s: it holds no history, but the \
+                 instance already holds %s; attach a log to a fresh instance \
+                 before its first statement, or rebuild the instance from \
+                 its log with recover"
+                dir held)))
+      held
+  in
+  let s = Changeset.attach ?sync ~on_empty dir in
   t.wal <- Some s;
   (* surface append/flush/fsync latency as child spans of whichever trace is
      open — the engine opens a dedicated "wal" root around the statement
@@ -573,15 +608,6 @@ let attach_wal ?sync t dir =
            Minidb.Metrics.record_child m ~kind:op ~detail:"" ~path:"wal"
              ~start_ns ~ns ~rows_in:(-1) ~rows:(-1)));
   Db.set_statement_sink t.db (Some (Changeset.on_statement s))
-
-(** Close the log; further statements are no longer recorded. *)
-let detach_wal t =
-  match t.wal with
-  | None -> ()
-  | Some s ->
-    Changeset.detach s;
-    t.wal <- None;
-    Db.set_statement_sink t.db None
 
 let wal_dir t = Option.map (fun s -> s.Changeset.dir) t.wal
 

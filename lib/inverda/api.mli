@@ -248,8 +248,12 @@ val verify_json : t -> string
 val attach_wal : ?sync:Minidb.Wal.sync_mode -> t -> string -> unit
 (** Attach (create or re-open) the changeset log in a directory. The
     instance's state must correspond to the log: a fresh instance with a
-    fresh directory, or the result of {!recover}. A torn log tail is
-    repaired on attach. [sync] defaults to {!Minidb.Wal.Flush}. *)
+    fresh directory, or the result of {!recover}. An instance that already
+    holds a schema version or a table is refused with {!Inverda_error},
+    naming the directory and what the instance holds, when the log holds
+    no record and no checkpoint; nothing is attached or created then. A
+    torn log tail is repaired on attach. [sync] defaults to
+    {!Minidb.Wal.Flush}. *)
 
 val detach_wal : t -> unit
 (** Close the log; subsequent statements are no longer recorded. *)

@@ -138,17 +138,17 @@ let on_statement s stmt sql =
 
 (** Open (or re-open) the log in [dir] for appending: repairs a torn tail,
     seeds the in-memory history from the existing records and positions the
-    next LSN after both the log and the checkpoint. *)
-let attach ?sync dir =
+    next LSN after both the log and the checkpoint. When the log holds no
+    record and there is no checkpoint, [on_empty] runs first; if it raises,
+    nothing is opened or created. *)
+let attach ?sync ~on_empty dir =
   let records = W.repair_log dir in
+  let ckpt = W.read_checkpoint dir in
+  if records = [] && ckpt = None then on_empty ();
   let last_logged =
     List.fold_left (fun acc (r : W.record) -> max acc r.W.lsn) 0 records
   in
-  let last_ckpt =
-    match W.read_checkpoint dir with
-    | Some ck -> ck.W.ck_lsn
-    | None -> 0
-  in
+  let last_ckpt = match ckpt with Some ck -> ck.W.ck_lsn | None -> 0 in
   let wal = W.open_append ?sync ~next_lsn:(max last_logged last_ckpt + 1) dir in
   { dir; wal; pending = []; buffering = false; who = ""; why = "" }
 

@@ -571,7 +571,4 @@ let regenerate ?(validate = fun (_ : Sql.statement list) -> ()) db (gen : G.t)
   untracked db (fun () ->
       drop_generated db;
       List.iter (exec db) stmts;
-      ensure_aux_indexes db gen);
-  (* the DDL above flushed all cached view results and base closures;
-     re-register the genealogy-derived closures for the fresh delta code *)
-  Viewcache.register db gen
+      ensure_aux_indexes db gen)

@@ -182,7 +182,6 @@ let atomically ?(label = "") db (gen : G.t) f =
         Db.clear_failpoint db;
         Db.abort_internal_txn db;
         G.restore_materialization gen snap;
-        Db.flush_view_cache db;
         Codegen.regenerate db gen;
         raise
           (Migration_error

@@ -471,27 +471,14 @@ let trigger_cascade (db : Db.t) emit target event =
   in
   go 1 target event
 
-(** Physical stored tables whose contents the named object depends on. *)
-let physical_bases (db : Db.t) (gen : G.t) k =
-  let via_genealogy name =
-    let bases = Viewcache.closure gen name in
-    match bases with [ b ] when b = name -> None | l -> Some l
-  in
-  let resolved =
-    match version_view_of gen k with
-    | Some (_, _, tvid) -> via_genealogy (G.tv_name (G.tv gen tvid))
-    | None -> (
-      match canonical_of gen k with
-      | Some v -> via_genealogy (G.tv_name v)
-      | None -> None)
-  in
-  match resolved with
-  | Some l -> l
-  | None -> (
-    match Db.view_bases_opt db k with
-    | Some (Some l) -> l
-    | _ -> (
-      match Db.find_object db k with Some (Db.Obj_table _) -> [ k ] | _ -> []))
+(** Physical stored tables whose contents the named object depends on: a
+    view's are those its memo records ({!Minidb.Exec.view_memo}). *)
+let physical_bases (db : Db.t) k =
+  match Db.find_key db k with
+  | Some (Db.Obj_view v) ->
+    List.map (fun tbl -> tbl.Minidb.Table.name) (E.view_memo db k v).Db.vm_tables
+  | Some (Db.Obj_table _) -> [ k ]
+  | None -> []
 
 (* --- plans -------------------------------------------------------------------- *)
 
@@ -601,7 +588,7 @@ let explain_stmt ?trace (db : Db.t) (gen : G.t) stmt plan =
       add " installed view stack:@.";
       view_stack db emit k
     | _ -> ());
-    (match physical_bases db gen k with
+    (match physical_bases db k with
     | [] -> ()
     | bases -> add " physical tables touched: %s@." (String.concat ", " bases));
     match write_event with
@@ -670,7 +657,7 @@ let explain_json (db : Db.t) (gen : G.t) sql =
     Fmt.str
       "{\"object\":%s,\"role\":%s,\"tv\":%s,\"physical_tables\":[%s]}"
       (jstr k) (jstr role) tv_id
-      (String.concat "," (List.map jstr (physical_bases db gen k)))
+      (String.concat "," (List.map jstr (physical_bases db k)))
   in
   let access_paths =
     match plan with

@@ -1,17 +1,12 @@
-(** Typed column batches extracted from {!Table} storage.
+(** Typed column batches: the columnar snapshots of {!Table} storage.
 
     A batch is an immutable columnar snapshot of a stored table: one typed
     vector per column (int/real/string/bool arrays with an optional
     byte-per-row null mask) or a boxed [Value.t] fallback vector when a
     column holds mixed types. Rows appear in ascending-rowid order, so every
     consumer — columnar or row-at-a-time — sees the same deterministic scan
-    order.
-
-    Extraction is memoized per table on the table's write [epoch]: a scan of
-    an unchanged table is a hash lookup plus an int compare, and any write
-    invalidates the snapshot wholesale. The cache is keyed by the table's
-    process-unique [uid] so a dropped-and-recreated table never aliases a
-    stale batch. *)
+    order. Each table keeps its own snapshot, valid until its next write
+    ({!Table.batch}), so a snapshot lives exactly as long as its table. *)
 
 type col =
   | C_int of int array * Bytes.t option
@@ -29,7 +24,7 @@ type t = {
   nrows : int;
   mutable rows_memo : Value.t array list option;
       (** the same snapshot as a row list (ascending rowid), built on first
-          demand — serves the row-path executor from the shared cache *)
+          demand — serves the row-path executor from the same snapshot *)
 }
 
 let nrows b = b.nrows
@@ -127,27 +122,6 @@ let of_row_array (rows : Value.t array array) ~width =
     nrows = Array.length rows;
     rows_memo = None;
   }
-
-(* uid -> (epoch, batch); bounded so long-lived processes that churn through
-   tables (DROP/CREATE in migrations) cannot grow it without limit *)
-let cache : (int, int * t) Hashtbl.t = Hashtbl.create 64
-let cache_bound = 512
-
-(** Drop every memoized snapshot (cold-start benchmarking, mode toggles). *)
-let reset_cache () = Hashtbl.reset cache
-
-(** The table's current columnar snapshot (memoized per write epoch). *)
-let of_table (t : Table.t) =
-  match Hashtbl.find_opt cache t.Table.uid with
-  | Some (e, b) when e = t.Table.epoch -> b
-  | _ ->
-    let pairs = Hashtbl.fold (fun id r acc -> (id, r) :: acc) t.Table.rows [] in
-    let pairs = List.sort (fun (a, _) (b, _) -> compare a b) pairs in
-    let rows = Array.of_list (List.map snd pairs) in
-    let b = of_row_array rows ~width:(Schema.arity t.Table.schema) in
-    if Hashtbl.length cache > cache_bound then Hashtbl.reset cache;
-    Hashtbl.replace cache t.Table.uid (t.Table.epoch, b);
-    b
 
 (** The snapshot as a row list in ascending-rowid order (memoized). The
     arrays are fresh boxes, never aliases of table storage. *)

@@ -15,21 +15,21 @@ type relation = {
   rel_count : int;
 }
 
-(** A cached view result is valid as long as every physical base table it
-    was computed from is still at the epoch recorded at compute time. *)
-type cached_view = {
-  cv_rel : relation;
-  cv_deps : (Table.t * int) list;  (** base table, epoch when computed *)
-}
-
-(** A view's physical-base closure. The table handles are resolved from the
-    names once, on first use, so the per-evaluation cache bookkeeping is a
-    few integer reads instead of catalog lookups; any catalog change resets
-    the whole registry ({!flush_view_metadata}), so a resolved handle can
-    never go stale. *)
-type base_closure = {
-  bc_names : string list;  (** lowercase physical base names *)
-  mutable bc_tables : Table.t list option;  (** lazily resolved handles *)
+(** What evaluating a view reads and may call, derived once per catalog
+    state from its installed body ({!Exec.view_memo}), with its cached
+    result beside it. *)
+type view_memo = {
+  vm_tables : Table.t list;
+      (** the stored tables it reads, transitively, ordered by installed name *)
+  vm_impure : bool;
+      (** it can call an impure function (or reads a missing object, or
+          itself through a view cycle): its result is never cached *)
+  vm_calls : bool;
+      (** it can call a function other than the pure built-ins: first-row
+          mode's test ({!Exec.first_row_ok}) *)
+  mutable vm_result : (relation * int list) option;
+      (** the cached result, with the epochs of [vm_tables] it was computed
+          at *)
 }
 
 type trigger = {
@@ -87,16 +87,9 @@ type t = {
           {!Batch} snapshots and eligible select pipelines compiled to
           selection-vector filters. Disabling it restores the row-at-a-time
           interpreter everywhere (coherence harness, ablation benchmarks). *)
-  view_cache : (string, cached_view) Hashtbl.t;
-      (** cross-statement view results, keyed by lowercase view name *)
-  view_bases : (string, base_closure option) Hashtbl.t;
-      (** physical-base closure per view; [None] marks a view as uncacheable
-          (e.g. an impure function in its body). Registered by the
-          delta-code generator or memoized on demand. *)
-  calls_functions : (string, bool) Hashtbl.t;
-      (** per view: can evaluating it call a function other than the pure
-          built-ins? First-row mode's test ({!Exec.calls_functions}),
-          memoized until the catalog changes *)
+  view_memos : (string, view_memo) Hashtbl.t;
+      (** per view (lowercase name), filled on first use and reset by any
+          catalog change ({!reset_view_memos}) *)
   pure_functions : (string, unit) Hashtbl.t;
       (** registered functions that are safe to re-evaluate from a cache
           (deterministic, no observable side effects) *)
@@ -144,9 +137,7 @@ let create () =
     statements_executed = 0;
     optimizations = true;
     batch_enabled = true;
-    view_cache = Hashtbl.create 64;
-    view_bases = Hashtbl.create 64;
-    calls_functions = Hashtbl.create 64;
+    view_memos = Hashtbl.create 64;
     pure_functions = Hashtbl.create 8;
     view_cache_enabled = true;
     view_cache_hits = 0;
@@ -180,67 +171,54 @@ let tick_failpoint t =
 
 (* --- the cross-statement view-result cache ------------------------------ *)
 
-(** Drop every cached view result (cheap; closures stay registered). *)
-let flush_view_cache t = Hashtbl.reset t.view_cache
-
-(* Any DDL can change what a view name means, so the cached results, the
-   registered base closures and the memoized function tests are stale.
-   Regeneration of the delta code re-registers closures afterwards; generic
-   views are re-memoized on demand. *)
-let flush_view_metadata t =
-  Hashtbl.reset t.view_cache;
-  Hashtbl.reset t.view_bases;
-  Hashtbl.reset t.calls_functions
+(* Forget every view memo and the result cached in it: on any DDL and any
+   catalog rollback, which can change what a view reads or calls, and on a
+   cache flush. Memos are re-derived on demand. *)
+let reset_view_memos t = Hashtbl.reset t.view_memos
 
 let set_view_cache t enabled =
   t.view_cache_enabled <- enabled;
-  if not enabled then flush_view_cache t
+  if not enabled then reset_view_memos t
 
 (** Toggle the columnar batch executor. Cached view results are dropped on
     every toggle — row content is identical either way, but physical row
     order can differ between the executors, so one mode never serves rows
-    materialized under the other. Disabling also drops the memoized column
-    snapshots so a later re-enable starts cold. *)
+    materialized under the other. Disabling also drops the column snapshots
+    of this database's tables, so a later re-enable starts cold. *)
 let set_batch t enabled =
   if t.batch_enabled <> enabled then begin
     t.batch_enabled <- enabled;
-    flush_view_cache t;
-    if not enabled then Batch.reset_cache ()
+    reset_view_memos t;
+    if not enabled then
+      Hashtbl.iter
+        (fun _ -> function
+          | Obj_table tbl -> tbl.Table.batch <- None
+          | Obj_view _ -> ())
+        t.objects
   end
 
-(** Declare the stored tables a view's result depends on (transitively).
-    A registration overrides the generic query-walk memoization. *)
-let register_view_bases t name bases =
-  Hashtbl.replace t.view_bases (key name)
-    (Some { bc_names = List.map key bases; bc_tables = None })
-
-(** Declare a view never safe to serve from the cache. *)
-let mark_view_uncacheable t name = Hashtbl.replace t.view_bases (key name) None
-
-let view_bases_opt t name =
-  Option.map
-    (Option.map (fun bc -> bc.bc_names))
-    (Hashtbl.find_opt t.view_bases (key name))
-
-(** Cached result for [name], provided every base table is unchanged. *)
-let cache_lookup t name =
-  if not t.view_cache_enabled then None
-  else
-    let k = key name in
-    match Hashtbl.find_opt t.view_cache k with
-    | Some cv
-      when List.for_all (fun (tbl, e) -> tbl.Table.epoch = e) cv.cv_deps ->
+(** The cached result of the view with memo [vm], provided the cache is on
+    and every table it reads is still at the epoch it was computed at. *)
+let cache_lookup t vm =
+  match vm.vm_result with
+  | Some (rel, epochs) when t.view_cache_enabled ->
+    if List.for_all2 (fun tbl e -> tbl.Table.epoch = e) vm.vm_tables epochs
+    then begin
       t.view_cache_hits <- t.view_cache_hits + 1;
-      Some cv.cv_rel
-    | Some _ ->
-      Hashtbl.remove t.view_cache k;
+      Some rel
+    end
+    else begin
+      vm.vm_result <- None;
       None
-    | None -> None
+    end
+  | _ -> None
 
-let cache_store t name rel deps =
-  if t.view_cache_enabled then begin
+(** Keep [rel], computed when [vm]'s tables were at [epochs], unless the
+    cache is off or the view can call an impure function. *)
+let cache_store t vm rel epochs =
+  if t.view_cache_enabled && not vm.vm_impure then begin
     t.view_cache_misses <- t.view_cache_misses + 1;
-    Hashtbl.replace t.view_cache (key name) { cv_rel = rel; cv_deps = deps }
+    vm.vm_result <- Some (rel, epochs)
   end
 
 let cache_stats t = (t.view_cache_hits, t.view_cache_misses)
@@ -262,36 +240,6 @@ let find_table_opt t name =
 let find_view_opt t name =
   match find_object t name with Some (Obj_view v) -> Some v | _ -> None
 
-(** Epoch-pinned dependencies of a registered view: [None] = no closure
-    registered yet, [Some None] = uncacheable, [Some (Some deps)] = every
-    base table with its current epoch. Table handles are resolved once per
-    registration and reused, so the steady-state cost per evaluation is one
-    integer read per base. *)
-let view_deps t name =
-  match Hashtbl.find_opt t.view_bases (key name) with
-  | None -> None
-  | Some None -> Some None
-  | Some (Some bc) ->
-    let tables =
-      match bc.bc_tables with
-      | Some tbls -> Some tbls
-      | None ->
-        let rec resolve acc = function
-          | [] -> Some (List.rev acc)
-          | n :: rest -> (
-            match find_table_opt t n with
-            | Some tbl -> resolve (tbl :: acc) rest
-            | None -> None)
-        in
-        let r = resolve [] bc.bc_names in
-        (match r with Some _ -> bc.bc_tables <- r | None -> ());
-        r
-    in
-    (match tables with
-    | None -> Some None  (* dangling base: treat as uncacheable this time *)
-    | Some tbls ->
-      Some (Some (List.map (fun tbl -> (tbl, tbl.Table.epoch)) tbls)))
-
 let object_exists t name = Hashtbl.mem t.objects (key name)
 
 (* DDL goes through the undo log like DML does (the log is discarded at the
@@ -304,7 +252,7 @@ let create_table t ~name ~schema ~pk ~if_not_exists =
     if not if_not_exists then error "object %s already exists" name
   end
   else begin
-    flush_view_metadata t;
+    reset_view_memos t;
     Hashtbl.replace t.objects (key name)
       (Obj_table (Table.create ~name ~schema ~pk));
     log_ddl t (U_create_obj (key name))
@@ -327,7 +275,7 @@ let drop_triggers_of_target t target_key =
 let drop_table t ~name ~if_exists =
   match find_object t name with
   | Some (Obj_table _ as obj) ->
-    flush_view_metadata t;
+    reset_view_memos t;
     Hashtbl.remove t.objects (key name);
     log_ddl t (U_drop_obj (key name, obj));
     drop_triggers_of_target t (key name)
@@ -342,7 +290,7 @@ let create_view t ~name ~query ~cols ~or_replace =
       error "view %s already exists" name
     | replaced -> replaced
   in
-  flush_view_metadata t;
+  reset_view_memos t;
   Hashtbl.replace t.objects (key name)
     (Obj_view { view_name = name; query; view_cols = cols });
   (match replaced with
@@ -352,7 +300,7 @@ let create_view t ~name ~query ~cols ~or_replace =
 let drop_view t ~name ~if_exists =
   match find_object t name with
   | Some (Obj_view _ as obj) ->
-    flush_view_metadata t;
+    reset_view_memos t;
     Hashtbl.remove t.objects (key name);
     log_ddl t (U_drop_obj (key name, obj));
     drop_triggers_of_target t (key name)
@@ -445,7 +393,7 @@ let logged_update t tbl rowid new_row =
 
 let rollback_to t mark =
   (* whether any catalog-shaped entry was unwound: views may then mean
-     something else, so cached results and base closures must go *)
+     something else, so their memos must go *)
   let catalog_changed = ref false in
   let rec go entries =
     if entries != mark then
@@ -480,7 +428,7 @@ let rollback_to t mark =
   in
   go t.undo;
   t.undo <- mark;
-  if !catalog_changed then flush_view_metadata t
+  if !catalog_changed then reset_view_memos t
 
 (* --- internal transactions ---------------------------------------------- *)
 

@@ -194,7 +194,7 @@ let rec has_aggregate = function
   | In_query (e, _, _) -> has_aggregate e
   | Const _ | Col _ | Param _ | Exists _ | Scalar _ -> false
 
-(* --- physical-base closure of a query (cross-statement view cache) ------- *)
+(* --- what a view reads and may call (view memos) ---------------------------- *)
 
 (* Built-in scalar functions that are safe to serve from a cached result:
    deterministic in their arguments and free of observable side effects.
@@ -255,60 +255,61 @@ let walk_query ~on_object ~on_fun q =
   in
   walk_query q
 
-(** The stored tables a query's result depends on, transitively through
-    views; [None] when the query can call an impure function, whose
-    re-evaluation the cache would wrongly suppress. Registered closures
-    ({!Db.register_view_bases}) short-circuit the walk. *)
-let query_bases db q =
-  let acc = Hashtbl.create 8 in
-  let visiting = Hashtbl.create 8 in
-  let exception Uncacheable in
-  let rec walk q = walk_query ~on_object ~on_fun q
-  and on_object name =
-    let k = Db.key name in
-    if not (Hashtbl.mem visiting k) then begin
-      Hashtbl.replace visiting k ();
-      match Db.find_object db name with
-      | Some (Db.Obj_table _) -> Hashtbl.replace acc k ()
-      | Some (Db.Obj_view v) -> (
-        match Db.view_bases_opt db k with
-        | Some (Some bases) -> List.iter (fun b -> Hashtbl.replace acc b ()) bases
-        | Some None -> raise Uncacheable
-        | None -> walk v.Db.query)
-      | None -> raise Uncacheable
-    end
-  and on_fun name =
-    if (not (List.mem name pure_builtins)) && not (Db.function_is_pure db name)
-    then raise Uncacheable
-  in
-  match walk q with
-  | () -> Some (Hashtbl.fold (fun k () l -> k :: l) acc [])
-  | exception Uncacheable -> None
-
-(* Can evaluating [q] call a function other than the pure built-ins? A
-   registered function may be an SMO's skolem: deterministic in its
-   arguments, so the view cache may re-serve its results, but its first call
-   for a payload allocates the next identifier, so a row left unread would
-   shift every identifier allocated after it. View bodies are walked
-   transitively, each once per catalog state ({!Db.calls_functions}); a
-   view met again while its own body is walked reads as calling. *)
-let calls_functions db q =
-  let exception Calls in
-  let rec walk q = walk_query ~on_object ~on_fun q
-  and on_object name =
+(* What the query [q] reads and may call, folded over the memos of the views
+   it names: the stored tables (unordered, possibly repeated), whether it
+   can call an impure function (a missing object counts as one), and
+   whether it can call any function but the pure built-ins. *)
+let rec query_reads db q =
+  let tables = ref [] and impure = ref false and calls = ref false in
+  let on_object name =
     match Db.find_object db name with
-    | Some (Db.Obj_view v) -> (
-      let k = Db.key name in
-      match Hashtbl.find_opt db.Db.calls_functions k with
-      | Some true -> raise Calls
-      | Some false -> ()
-      | None ->
-        Hashtbl.replace db.Db.calls_functions k true;
-        walk v.Db.query;
-        Hashtbl.replace db.Db.calls_functions k false)
-    | Some (Db.Obj_table _) | None -> ()
-  and on_fun name = if not (List.mem name pure_builtins) then raise Calls in
-  match walk q with () -> false | exception Calls -> true
+    | Some (Db.Obj_table tbl) -> tables := tbl :: !tables
+    | Some (Db.Obj_view v) ->
+      let vm = view_memo db (Db.key name) v in
+      tables := List.rev_append vm.Db.vm_tables !tables;
+      impure := !impure || vm.Db.vm_impure;
+      calls := !calls || vm.Db.vm_calls
+    | None -> impure := true
+  and on_fun name =
+    if not (List.mem name pure_builtins) then begin
+      calls := true;
+      if not (Db.function_is_pure db name) then impure := true
+    end
+  in
+  walk_query ~on_object ~on_fun q;
+  (!tables, !impure, !calls)
+
+(** The memo of view [v], whose catalog key is [k]: the stored tables it
+    reads, whether it can call an impure function (then its result is never
+    cached) and whether it can call any function but the pure built-ins
+    (first-row mode's test). Its installed body is walked once per catalog
+    state, and the walk memoizes every view it meets. A registered function
+    counts as pure when registered so: an SMO's skolem is deterministic in
+    its arguments, so the cache may re-serve its results, but its first
+    call for a payload allocates the next identifier, so a row left unread
+    in first-row mode would shift every identifier allocated after it. A
+    view met again while its own body is walked reads itself through a view
+    cycle, which no evaluation completes: it counts as impure and calling. *)
+and view_memo db k (v : Db.view) : Db.view_memo =
+  match Hashtbl.find_opt db.Db.view_memos k with
+  | Some vm -> vm
+  | None ->
+    Hashtbl.replace db.Db.view_memos k
+      { Db.vm_tables = []; vm_impure = true; vm_calls = true; vm_result = None };
+    let tables, impure, calls = query_reads db v.Db.query in
+    let vm =
+      {
+        Db.vm_tables =
+          List.sort_uniq
+            (fun (a : Table.t) b -> compare a.Table.name b.Table.name)
+            tables;
+        vm_impure = impure;
+        vm_calls = calls;
+        vm_result = None;
+      }
+    in
+    Hashtbl.replace db.Db.view_memos k vm;
+    vm
 
 (** First-row mode, one of the planner fast paths ({!Db.optimizations}): a
     query whose consumer needs one row (it sits under EXISTS, or says
@@ -317,9 +318,12 @@ let calls_functions db q =
     survives. That row is the one full evaluation returns first, since the
     plan is the same and only its tail goes unread; so the query must take
     its order from the plan (no ORDER BY), and the rows it leaves unread
-    must call no function but the pure built-ins ({!calls_functions}). *)
+    must call no function but the pure built-ins ({!view_memo}). *)
 let first_row_ok db q =
-  db.Db.optimizations && q.order_by = [] && not (calls_functions db q)
+  db.Db.optimizations && q.order_by = []
+  &&
+  let _, _, calls = query_reads db q in
+  not calls
 
 (* --- column resolution --------------------------------------------------- *)
 
@@ -424,6 +428,25 @@ let pin_of = function
   | Binop (Eq, Col (q, n), e) when column_free e -> Some (q, n, e)
   | Binop (Eq, e, Col (q, n)) when column_free e -> Some (q, n, e)
   | _ -> None
+
+(* An index pin of the WHERE clause [w] over table [tbl], read through the
+   innermost scope [scope] of [scopes]: the first conjunct [col = e] whose
+   [col] is an indexed column of [tbl] and whose [e] reads no column of that
+   scope, with the index and [e]. *)
+let index_pin tbl scope scopes w =
+  List.find_map
+    (fun c ->
+      match c with
+      | Binop (Eq, Col (q, n), e) | Binop (Eq, e, Col (q, n)) -> (
+        match resolve_column scopes q n with
+        | 0, pos when not (references_depth scopes 0 e) ->
+          Option.map
+            (fun idx -> (idx, e))
+            (Table.indexed_column tbl (snd scope.entries.(pos)))
+        | _ -> None
+        | exception _ -> None)
+      | _ -> None)
+    (conjuncts w)
 
 (* Inner joins all the way down: ON and WHERE filtering coincide, so a
    conjunct may move between them. *)
@@ -751,9 +774,9 @@ let identity_positions positions width =
   Array.iteri (fun j p -> if p <> j then ok := false) positions;
   !ok
 
-(* A whole-table read serves ascending-rowid order off the shared columnar
+(* A whole-table read serves ascending-rowid order off the table's columnar
    snapshot when batch mode is on; the row list is memoized on the batch, so
-   repeated scans of an unchanged table cost a hash lookup. *)
+   repeated scans of an unchanged table cost an int compare. *)
 let scan_path db = if db.Db.batch_enabled then "batch" else "row"
 
 let object_columns ctx name =
@@ -1154,7 +1177,7 @@ and record_scan_once ctx k (tbl : Table.t) =
    mid-plan any more than the row path's per-statement snapshot could. *)
 and table_batch ctx k (tbl : Table.t) =
   record_scan_once ctx k tbl;
-  Batch.of_table tbl
+  Table.batch tbl
 
 (* The relation of the object whose catalog key (lowercase name) is [k]. *)
 and object_relation ctx k : relation =
@@ -1170,7 +1193,7 @@ and object_relation ctx k : relation =
         let ts = if tr then Metrics.now_ns () else 0 in
         let path = scan_path ctx.db in
         let rows =
-          if path = "batch" then Batch.rows_of (Batch.of_table tbl)
+          if path = "batch" then Batch.rows_of (Table.batch tbl)
           else Hashtbl.fold (fun _ row acc -> row :: acc) tbl.Table.rows []
         in
         let n = Table.cardinality tbl in
@@ -1188,11 +1211,11 @@ and object_relation ctx k : relation =
     Hashtbl.replace ctx.cache k rel;
     rel
 
-(* Evaluate a view, going through the cross-statement result cache: a hit is
-   served as long as every physical base table is at the epoch recorded when
-   the result was computed; a miss recomputes and re-stores. Views whose
-   closure cannot be established (impure functions, dangling references) are
-   evaluated afresh every statement, as before. *)
+(* Evaluate a view, going through the cross-statement result cache kept in
+   its memo ({!view_memo}): a hit is served as long as every table the view
+   reads is at the epoch recorded when the result was computed; a miss
+   recomputes and re-stores. A view that can call an impure function is
+   evaluated afresh every statement. *)
 and view_relation ctx k (v : Db.view) : relation =
   let m = ctx.db.Db.metrics in
   let fr = if Metrics.child_active m then Some (Metrics.open_span m) else None in
@@ -1225,28 +1248,14 @@ and view_relation ctx k (v : Db.view) : relation =
   in
   if not ctx.db.Db.view_cache_enabled then finish "computed" (compute ())
   else
-    match Db.cache_lookup ctx.db k with
+    let vm = view_memo ctx.db k v in
+    match Db.cache_lookup ctx.db vm with
     | Some rel -> finish "cache-hit" rel
     | None ->
-      (* epochs are pinned before evaluation; view bodies cannot write. The
-         registry resolves base-table handles once per registration, so the
-         steady-state bookkeeping here is one integer read per base — write
-         cascades that re-read neighbour views no longer pay catalog lookups
-         per statement. *)
-      let deps =
-        match Db.view_deps ctx.db k with
-        | Some d -> d
-        | None ->
-          (* unregistered: memoize the closure from the query body *)
-          (match query_bases ctx.db v.Db.query with
-          | Some l -> Db.register_view_bases ctx.db k l
-          | None -> Db.mark_view_uncacheable ctx.db k);
-          (match Db.view_deps ctx.db k with Some d -> d | None -> None)
-      in
+      (* epochs are pinned before evaluation; view bodies cannot write *)
+      let epochs = List.map (fun tbl -> tbl.Table.epoch) vm.Db.vm_tables in
       let rel = compute () in
-      (match deps with
-      | Some deps -> Db.cache_store ctx.db k rel deps
-      | None -> ());
+      Db.cache_store ctx.db vm rel epochs;
       finish "computed" rel
 
 (* --- batch pipeline ------------------------------------------------------- *)
@@ -2367,25 +2376,7 @@ and index_fast_path ctx ~first sel scope scopes =
     match Db.find_table_opt ctx.db tname with
     | None -> None
     | Some tbl -> (
-      (* find a conjunct [col = e] where e has no local column refs and col
-         is indexed *)
-      let usable =
-        List.find_map
-          (fun c ->
-            match c with
-            | Binop (Eq, Col (q, n), e) | Binop (Eq, e, Col (q, n)) -> (
-              match resolve_column scopes q n with
-              | 0, pos when not (references_depth scopes 0 e) -> (
-                let name = snd scope.entries.(pos) in
-                match Table.indexed_column tbl name with
-                | Some idx -> Some (idx, e)
-                | None -> None)
-              | _ -> None
-              | exception _ -> None)
-            | _ -> None)
-          (conjuncts w)
-      in
-      match usable with
+      match index_pin tbl scope scopes w with
       | None -> None
       | Some (idx, key_expr) ->
         let fkey = compile_expr ctx (List.tl scopes) key_expr in
@@ -3206,23 +3197,7 @@ and affected_table_rows db params tbl where =
     match where with
     | None -> Table.to_rows tbl
     | Some w -> (
-      let usable =
-        List.find_map
-          (fun c ->
-            match c with
-            | Binop (Eq, Col (q, n), e) | Binop (Eq, e, Col (q, n)) -> (
-              match resolve_column scopes q n with
-              | 0, pos when not (references_depth scopes 0 e) -> (
-                let name = snd scope.entries.(pos) in
-                match Table.indexed_column tbl name with
-                | Some idx -> Some (idx, e)
-                | None -> None)
-              | _ -> None
-              | exception _ -> None)
-            | _ -> None)
-          (conjuncts w)
-      in
-      match usable with
+      match index_pin tbl scope scopes w with
       | Some (idx, key_expr) ->
         let f = compile_expr ctx [] key_expr in
         let v = f { ctx; rows = []; params } in

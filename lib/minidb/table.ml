@@ -27,23 +27,16 @@ type t = {
   mutable epoch : int;
       (** monotonic write counter; cached view results carry the epochs of
           their base tables and are valid only while all of them still match *)
-  uid : int;
-      (** process-unique table identity; the columnar batch cache is keyed by
-          it, so a dropped-and-recreated table of the same name never aliases
-          a stale batch *)
+  mutable batch : (Batch.t * int) option;
+      (** the columnar snapshot ({!batch}) with the epoch it was taken at;
+          like a bucket's [bucket_rows], staleness is one int compare *)
 }
 
 exception Constraint_violation of string
 
 let violation fmt = Fmt.kstr (fun s -> raise (Constraint_violation s)) fmt
 
-let next_uid = ref 0
-
 let create ~name ~schema ~pk =
-  let uid =
-    incr next_uid;
-    !next_uid
-  in
   let t =
     {
       name;
@@ -53,7 +46,7 @@ let create ~name ~schema ~pk =
       next_rowid = 0;
       indexes = Hashtbl.create 4;
       epoch = 0;
-      uid;
+      batch = None;
     }
   in
   (match pk with
@@ -134,6 +127,20 @@ let index_rows t idx v =
     match b.bucket_rows with
     | Some (rows, e) when e = t.epoch -> List.to_seq rows
     | _ -> Seq.filter_map (Hashtbl.find_opt t.rows) (Rowids.to_seq b.ids))
+
+(** The table's columnar snapshot, rows in ascending rowid order. It is kept
+    on the table until a write bumps the epoch, so a scan of an unchanged
+    table is one int compare, and the snapshot dies with its table. *)
+let batch t =
+  match t.batch with
+  | Some (b, e) when e = t.epoch -> b
+  | _ ->
+    let pairs = Hashtbl.fold (fun id r acc -> (id, r) :: acc) t.rows [] in
+    let pairs = List.sort (fun (a, _) (b, _) -> compare a b) pairs in
+    let rows = Array.of_list (List.map snd pairs) in
+    let b = Batch.of_row_array rows ~width:(Schema.arity t.schema) in
+    t.batch <- Some (b, t.epoch);
+    b
 
 let pk_conflict t row =
   match t.pk with

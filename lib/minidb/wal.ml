@@ -511,4 +511,4 @@ let load_dump db text =
            current := None
            (* VIEW / TRIGGER / blank lines: schema replay owns those *)
          end);
-  Database.flush_view_cache db
+  Database.reset_view_memos db

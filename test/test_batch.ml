@@ -132,4 +132,54 @@ let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [ scan_projection; null_ordering; filters_aggregates; joins; error_alignment ]
 
-let () = Alcotest.run "batch" [ ("batch-vs-row", qsuite) ]
+(* --- snapshots live on their tables ------------------------------------------ *)
+
+module I = Inverda.Api
+
+(* A weak pointer to [tbl]'s columnar snapshot, taken in a function of its
+   own so that no stack slot of the caller keeps the snapshot alive. *)
+let weak_snapshot tbl =
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some (Minidb.Table.batch tbl));
+  w
+
+let check_collected label w =
+  Gc.full_major ();
+  Alcotest.(check bool) label false (Weak.check w 0)
+
+let test_snapshot_dies_with_dropped_table () =
+  let db = fresh_table [ ("1", "'a'") ] in
+  Alcotest.(check int) "a scan" 1 (List.length (Engine.query_rows db "SELECT a FROM t"));
+  let tbl = Db.find_table db "t" in
+  Alcotest.(check bool) "the scan kept its snapshot on the table" true
+    (Option.is_some tbl.Minidb.Table.batch);
+  (* switching the batch executor off drops the snapshot: cold start *)
+  Db.set_batch db false;
+  Alcotest.(check bool) "batch off drops it" true (tbl.Minidb.Table.batch = None);
+  Db.set_batch db true;
+  let w = weak_snapshot tbl in
+  ignore (Engine.exec db "DROP TABLE t");
+  check_collected "the dropped table's snapshot is collected" w
+
+let test_snapshot_dies_with_replaced_table () =
+  let t = Scenarios.Tasky.setup_full ~tasks:5 () in
+  let db = I.database t in
+  ignore (I.query_rows t "SELECT task FROM TasKy.Task");
+  let w = weak_snapshot (Db.find_table db "d!1!Task") in
+  I.materialize t [ "TasKy2" ];
+  I.materialize t [ "TasKy" ];
+  ignore (I.query_rows t "SELECT task FROM TasKy.Task");
+  check_collected "the replaced table's snapshot is collected" w
+
+let () =
+  Alcotest.run "batch"
+    [
+      ("batch-vs-row", qsuite);
+      ( "snapshots",
+        [
+          Alcotest.test_case "die with a dropped table" `Quick
+            test_snapshot_dies_with_dropped_table;
+          Alcotest.test_case "die with a MATERIALIZE round trip" `Quick
+            test_snapshot_dies_with_replaced_table;
+        ] );
+    ]

@@ -555,6 +555,77 @@ let test_slow_log_jsonl () =
     (List.exists (fun l -> contains l "\"kind\":\"query\"") lines
     && List.exists (fun l -> contains l "\"kind\":\"insert\"") lines)
 
+(* --- physical tables: the view memo ------------------------------------------ *)
+
+(* EXPLAIN's physical tables of each demo version view, text and JSON, under
+   their installed names *)
+let test_explain_physical_tables () =
+  let t = Scenarios.Tasky.setup_full ~tasks:5 () in
+  List.iter
+    (fun (view, tables) ->
+      let sql = "SELECT * FROM " ^ view in
+      Alcotest.(check bool) (view ^ ": text") true
+        (contains (I.explain t sql)
+           (Fmt.str "\n physical tables touched: %s\n" (String.concat ", " tables)));
+      Alcotest.(check bool) (view ^ ": json") true
+        (contains (I.explain_json t sql)
+           (Fmt.str "\"physical_tables\":[%s]"
+              (String.concat "," (List.map (Fmt.str "\"%s\"") tables)))))
+    [
+      ("TasKy.Task", [ "d!1!Task" ]);
+      ("Do!.Todo", [ "aux!2!lstar"; "d!1!Task" ]);
+      ("TasKy2.Task", [ "aux!6!id"; "d!1!Task" ]);
+      ("TasKy2.Author", [ "aux!6!id"; "d!1!Task" ]);
+    ]
+
+module Db = Minidb.Database
+module E = Minidb.Exec
+
+let rec plan_scans (p : E.plan) =
+  (if p.E.kind = "scan" then [ p.E.detail ] else [])
+  @ List.concat_map plan_scans p.E.inputs
+
+(* Every installed view's memo names exactly the stored tables that the plan
+   of [SELECT *] from the view scans, fast paths off; the memo walks view
+   bodies, the plan compiles them, and the two share no code. *)
+let check_memos_match_plans label t =
+  let db = I.database t in
+  db.Db.optimizations <- false;
+  List.iter
+    (function
+      | Db.Obj_view v ->
+        let k = Db.key v.Db.view_name in
+        let q =
+          Minidb.Sql_parser.query_of_string
+            (Fmt.str "SELECT * FROM \"%s\"" v.Db.view_name)
+        in
+        let memo = (E.view_memo db k v).Db.vm_tables in
+        Alcotest.(check (list string))
+          (Fmt.str "%s: %s" label k)
+          (List.sort_uniq compare (plan_scans (E.plan db q)))
+          (List.sort compare
+             (List.map (fun tbl -> Db.key tbl.Minidb.Table.name) memo))
+      | Db.Obj_table _ -> ())
+    (Db.list_objects db);
+  db.Db.optimizations <- true
+
+let test_memos_match_plans () =
+  let t = Scenarios.Tasky.setup_full ~tasks:5 () in
+  List.iter
+    (fun mat ->
+      I.set_materialization t mat;
+      check_memos_match_plans
+        (Fmt.str "tasky {%s}" (String.concat "," (List.map string_of_int mat)))
+        t)
+    (G.enumerate_materializations (I.genealogy t));
+  let t, names = Scenarios.Wikimedia.build ~versions:8 () in
+  Scenarios.Wikimedia.load t ~version:names.(0) ~pages:6 ~links:8;
+  List.iter
+    (fun version ->
+      I.materialize t [ version ];
+      check_memos_match_plans ("wikimedia at " ^ version) t)
+    [ names.(0); names.(4); names.(7) ]
+
 (* --- suite ---------------------------------------------------------------------- *)
 
 let () =
@@ -604,5 +675,7 @@ let () =
           tc "analyze exact on Wikimedia genealogy"
             test_explain_analyze_wikimedia;
           tc "first-row nodes marked" test_explain_first_row;
+          tc "physical tables of the demo views" test_explain_physical_tables;
+          tc "view memos read what plans scan" test_memos_match_plans;
         ] );
     ]

@@ -285,6 +285,41 @@ let test_txn_buffering () =
   I.detach_wal r;
   F.rm_rf dir
 
+(* A log that holds no history, attached to an instance that already holds
+   state, would start in the middle of that state's history: after
+   [setup_initial ~tasks:3], an attach and one insert, recovery raised "no
+   such table or view TasKy.Task". Attach refuses instead, and creates
+   nothing. *)
+let test_attach_refuses_state () =
+  let dir = F.fresh_dir () in
+  let refused t =
+    match I.attach_wal t dir with
+    | () -> Alcotest.fail "attach must refuse an instance that holds state"
+    | exception I.Inverda_error msg ->
+      Alcotest.(check bool) "names the directory" true (contains msg dir);
+      msg
+  in
+  let t = T.setup_initial ~tasks:3 () in
+  Alcotest.(check bool) "names the version" true
+    (contains (refused t) "schema version TasKy");
+  Alcotest.(check (option string)) "no log attached" None (I.wal_dir t);
+  Alcotest.(check bool) "no log created" false (Sys.file_exists (W.log_file dir));
+  ignore (I.exec_sql t "INSERT INTO TasKy.Task (author, task, prio) VALUES ('Ada', 'a', 1)");
+  let u = I.create () in
+  ignore (I.exec_sql u "CREATE TABLE x (p INTEGER PRIMARY KEY)");
+  Alcotest.(check bool) "names the table" true (contains (refused u) "table x");
+  (* the same history with the log attached first recovers *)
+  let t = I.create () in
+  I.attach_wal t dir;
+  I.evolve t T.bidel_initial;
+  T.load_tasks t 3;
+  ignore (I.exec_sql t "INSERT INTO TasKy.Task (author, task, prio) VALUES ('Ada', 'a', 1)");
+  I.detach_wal t;
+  let r = I.recover dir in
+  check_recovered ~label:"attached first" t r;
+  I.detach_wal r;
+  F.rm_rf dir
+
 (* --- AS OF ------------------------------------------------------------------ *)
 
 let sorted_rows rel =
@@ -400,6 +435,7 @@ let () =
           tc "checkpoint + tail" test_recover_checkpoint;
           tc "torn tail" test_recover_torn_tail;
           tc "transaction buffering" test_txn_buffering;
+          tc "attach refuses an instance with state" test_attach_refuses_state;
         ] );
       ( "time travel",
         [ tc "as of vs replay" test_as_of ] );
