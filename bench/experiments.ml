@@ -523,7 +523,7 @@ let ablation_pushdown scale =
   let run optimizations =
     let t = Scenarios.Tasky.setup_full ~tasks () in
     let db = I.database t in
-    db.Minidb.Database.optimizations <- optimizations;
+    Minidb.Database.set_optimizations db optimizations;
     let point_read =
       W.median_time ~runs:scale.runs (fun () ->
           ignore
@@ -531,9 +531,9 @@ let ablation_pushdown scale =
                (Fmt.str "SELECT task FROM TasKy2.Task WHERE p = %d" (tasks / 2))))
     in
     let author =
-      db.Minidb.Database.optimizations <- true;
+      Minidb.Database.set_optimizations db true;
       let a = try Minidb.Engine.query_int db "SELECT MIN(p) FROM TasKy2.Author" with _ -> 1 in
-      db.Minidb.Database.optimizations <- optimizations;
+      Minidb.Database.set_optimizations db optimizations;
       a
     in
     let writes =

@@ -36,7 +36,7 @@ dune exec bench/main.exe -- --only formal > /dev/null
 # telemetry: the stats --json document must carry every field of its schema
 stats_json=$(dune exec bin/inverda_cli.exe -- stats --demo --json)
 for field in enabled observed_statements engine_statements trigger_hops \
-             cache versions table_versions \
+             prepared_plans cache versions table_versions \
              observed_profile read_latency_ns write_latency_ns \
              latency_quantiles_ns spans; do
   echo "$stats_json" | grep -q "\"$field\"" \

@@ -167,6 +167,7 @@ let probe_split cols lcond rcond : verdict =
       in
       try
         let ctx = Exec.fresh_ctx (Minidb.Database.create ()) in
+        let env0 = Exec.start_env ctx.Exec.db in
         let scope = [ Exec.scope_of_cols used ] in
         let fl = Exec.compile_expr ctx scope lcond in
         let fr = Exec.compile_expr ctx scope rcond in
@@ -183,7 +184,7 @@ let probe_split cols lcond rcond : verdict =
             (* ill-typed sample rows (e.g. a boolean where the condition
                compares integers) are simply skipped *)
             match
-              let env = { Exec.ctx; rows = [ row ]; params = Exec.no_params } in
+              let env = { env0 with rows = [ row ] } in
               (is_true (fl env), is_true (fr env))
             with
             | true, true -> if !overlap = None then overlap := Some (witness row)

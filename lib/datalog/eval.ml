@@ -91,8 +91,7 @@ let eval ?engine (rules : Ast.t) (edb : edb) : edb =
     let row =
       Array.of_list (List.map (fun x -> Option.get (lookup env x)) scope_vars)
     in
-    compiled
-      { Minidb.Exec.ctx; rows = [ row ]; params = Minidb.Exec.no_params }
+    compiled { (Minidb.Exec.start_env db) with rows = [ row ] }
   in
 
   let match_atom env a tuple =

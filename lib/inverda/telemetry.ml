@@ -213,7 +213,7 @@ let histogram_json h =
   ^ "]"
 
 (** The unified stats document: telemetry switch, statement counts,
-    view-cache hits/misses, per-version and
+    prepared delta-code plans, view-cache hits/misses, per-version and
     per-table-version counters, the observed profile and both latency
     histograms. This is the [inverda_cli stats --json] payload; its field
     set is checked by [check.sh]. *)
@@ -227,6 +227,7 @@ let stats_json (db : Db.t) (gen : G.t) =
   add "\"observed_statements\":%d," m.M.statements;
   add "\"engine_statements\":%d," db.Db.statements_executed;
   add "\"trigger_hops\":%d," m.M.trigger_hops_total;
+  add "\"prepared_plans\":%d," m.M.plans_prepared;
   add "\"cache\":{\"hits\":%d,\"misses\":%d}," hits misses;
   add "\"versions\":[%s],"
     (String.concat ","
@@ -281,6 +282,8 @@ let stats_text (db : Db.t) (gen : G.t) =
   add "statements: %d observed (%d engine-total, incl. cascades/internal)@."
     m.M.statements db.Db.statements_executed;
   add "trigger hops: %d@." m.M.trigger_hops_total;
+  add "prepared plans: %d (trigger statements and view bodies)@."
+    m.M.plans_prepared;
   add "view cache: %d hits / %d misses (%.1f%% hit rate)@." hits misses
     (pct hits (hits + misses));
   add "per-version traffic:@.";
@@ -699,6 +702,9 @@ let metrics_text (db : Db.t) (gen : G.t) =
     db.Db.statements_executed;
   counter "inverda_trigger_hops_total" "Delta-code trigger cascade hops"
     m.M.trigger_hops_total;
+  counter "inverda_prepared_plans_total"
+    "Delta-code plans prepared (trigger statements and view bodies)"
+    m.M.plans_prepared;
   add "# HELP inverda_view_cache_total View cache lookups by outcome\n";
   add "# TYPE inverda_view_cache_total counter\n";
   add "inverda_view_cache_total{outcome=\"hit\"} %d\n" hits;

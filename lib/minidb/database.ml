@@ -15,9 +15,16 @@ type relation = {
   rel_count : int;
 }
 
+(** A plan compiled from delta code: a view body, a key-pinned pushdown
+    into one, or a trigger's statements. {!Exec} defines the cases. A plan
+    holds catalog handles only (tables, functions, other plans), never rows
+    or anything one statement's run builds, so it stays valid until the
+    catalog changes. *)
+type prepared = ..
+
 (** What evaluating a view reads and may call, derived once per catalog
     state from its installed body ({!Exec.view_memo}), with its cached
-    result beside it. *)
+    result and the plans prepared from its body beside it. *)
 type view_memo = {
   vm_tables : Table.t list;
       (** the stored tables it reads, transitively, ordered by installed name *)
@@ -30,6 +37,9 @@ type view_memo = {
   mutable vm_result : (relation * int list) option;
       (** the cached result, with the epochs of [vm_tables] it was computed
           at *)
+  mutable vm_plans : prepared list;
+      (** its body prepared for full evaluation and for each key-pinned
+          pushdown into it, each on first use ({!Exec.view_body}) *)
 }
 
 type trigger = {
@@ -90,6 +100,9 @@ type t = {
   view_memos : (string, view_memo) Hashtbl.t;
       (** per view (lowercase name), filled on first use and reset by any
           catalog change ({!reset_view_memos}) *)
+  trigger_memos : (string, prepared) Hashtbl.t;
+      (** per trigger (lowercase name): its statements, each prepared on
+          its first firing, reset with the view memos *)
   pure_functions : (string, unit) Hashtbl.t;
       (** registered functions that are safe to re-evaluate from a cache
           (deterministic, no observable side effects) *)
@@ -138,6 +151,7 @@ let create () =
     optimizations = true;
     batch_enabled = true;
     view_memos = Hashtbl.create 64;
+    trigger_memos = Hashtbl.create 64;
     pure_functions = Hashtbl.create 8;
     view_cache_enabled = true;
     view_cache_hits = 0;
@@ -171,10 +185,15 @@ let tick_failpoint t =
 
 (* --- the cross-statement view-result cache ------------------------------ *)
 
-(* Forget every view memo and the result cached in it: on any DDL and any
-   catalog rollback, which can change what a view reads or calls, and on a
-   cache flush. Memos are re-derived on demand. *)
-let reset_view_memos t = Hashtbl.reset t.view_memos
+(* Forget every view and trigger memo, with the results cached and the
+   plans prepared in them: on any change to what a plan depends on (objects,
+   triggers, indexes, registered functions, the planner fast paths, the
+   executor), on the undo of any such change, and on a cache flush. Memos
+   are re-derived on demand. Sequences are not among them: a plan reads a
+   sequence only when it runs. *)
+let reset_view_memos t =
+  Hashtbl.reset t.view_memos;
+  Hashtbl.reset t.trigger_memos
 
 let set_view_cache t enabled =
   t.view_cache_enabled <- enabled;
@@ -195,6 +214,15 @@ let set_batch t enabled =
           | Obj_table tbl -> tbl.Table.batch <- None
           | Obj_view _ -> ())
         t.objects
+  end
+
+(** Toggle the planner fast paths. Plans are prepared with them on only,
+    but a toggle drops every plan all the same, as any change to what a plan
+    depends on does. *)
+let set_optimizations t enabled =
+  if t.optimizations <> enabled then begin
+    t.optimizations <- enabled;
+    reset_view_memos t
   end
 
 (** The cached result of the view with memo [vm], provided the cache is on
@@ -264,6 +292,7 @@ let drop_triggers_of_target t target_key =
       (fun name trig acc -> if trig.target = target_key then name :: acc else acc)
       t.triggers []
   in
+  if stale <> [] then reset_view_memos t;
   List.iter
     (fun name ->
       let trig = Hashtbl.find t.triggers name in
@@ -316,6 +345,7 @@ let create_trigger t ~name ~event ~target ~instead_of ~body =
   in
   if Hashtbl.mem t.by_target (key target, event) then
     error "object %s already has a trigger for this event" target;
+  reset_view_memos t;
   Hashtbl.replace t.triggers (key name) trig;
   Hashtbl.replace t.by_target (key target, event) trig;
   log_ddl t (U_create_trigger (key name))
@@ -323,6 +353,7 @@ let create_trigger t ~name ~event ~target ~instead_of ~body =
 let drop_trigger t ~name ~if_exists =
   match Hashtbl.find_opt t.triggers (key name) with
   | Some trig ->
+    reset_view_memos t;
     Hashtbl.remove t.triggers (key name);
     Hashtbl.remove t.by_target (trig.target, trig.event);
     log_ddl t (U_drop_trigger trig)
@@ -334,6 +365,7 @@ let drop_trigger t ~name ~if_exists =
 let logged_add_index t tbl column =
   let k = String.lowercase_ascii column in
   if not (Hashtbl.mem tbl.Table.indexes k) then begin
+    reset_view_memos t;
     Table.add_index tbl column;
     log_ddl t (U_create_index (tbl, k))
   end
@@ -341,10 +373,12 @@ let logged_add_index t tbl column =
 let trigger_for t ~target ~event = Hashtbl.find_opt t.by_target (key target, event)
 
 let register_function ?(pure = false) t name f =
+  reset_view_memos t;
   Hashtbl.replace t.functions (key name) f;
   if pure then Hashtbl.replace t.pure_functions (key name) ()
 
 let unregister_function t name =
+  reset_view_memos t;
   Hashtbl.remove t.functions (key name);
   Hashtbl.remove t.pure_functions (key name)
 
@@ -393,7 +427,7 @@ let logged_update t tbl rowid new_row =
 
 let rollback_to t mark =
   (* whether any catalog-shaped entry was unwound: views may then mean
-     something else, so their memos must go *)
+     something else and plans read other objects, so the memos must go *)
   let catalog_changed = ref false in
   let rec go entries =
     if entries != mark then
@@ -413,15 +447,19 @@ let rollback_to t mark =
           catalog_changed := true;
           Hashtbl.replace t.objects name obj
         | U_create_trigger name -> (
+          catalog_changed := true;
           match Hashtbl.find_opt t.triggers name with
           | Some trig ->
             Hashtbl.remove t.triggers name;
             Hashtbl.remove t.by_target (trig.target, trig.event)
           | None -> ())
         | U_drop_trigger trig ->
+          catalog_changed := true;
           Hashtbl.replace t.triggers (key trig.trig_name) trig;
           Hashtbl.replace t.by_target (trig.target, trig.event) trig
-        | U_create_index (tbl, col) -> Table.remove_index tbl col
+        | U_create_index (tbl, col) ->
+          catalog_changed := true;
+          Table.remove_index tbl col
         | U_create_seq name -> Hashtbl.remove t.sequences name
         | U_hook f -> f ());
         go rest

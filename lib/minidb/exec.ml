@@ -1,12 +1,17 @@
 (** Query and statement execution.
 
-    Expressions are compiled once per statement into closures over a runtime
-    environment (current rows of the enclosing scopes plus NEW./OLD. trigger
-    parameters). Joins use a hash-join fast path on equality conjuncts,
-    EXISTS / IN subqueries are decorrelated into index probes or per-statement
-    hash memos, and view results are cached for the duration of a statement.
-    All write paths go through the database undo log so that a failing
-    statement (or an explicit transaction) rolls back atomically. *)
+    Statements are compiled into closures over a run environment (the
+    statement run's snapshots and memos, the current rows of the enclosing
+    scopes, NEW./OLD. trigger parameters and a pushed key). A client
+    statement compiles once per statement; delta code — view bodies, key
+    pushdowns into them and trigger statements — is prepared on first use
+    and kept, with the planner fast paths on, until the catalog changes
+    ({!Db.prepared}). Joins use a hash-join fast path on equality
+    conjuncts, EXISTS / IN subqueries are decorrelated into index probes or
+    per-statement hash memos, and view results are cached for the duration
+    of a statement. All write paths go through the database undo log so
+    that a failing statement (or an explicit transaction) rolls back
+    atomically. *)
 
 open Sql_ast
 module Db = Database
@@ -39,29 +44,54 @@ type plan = {
   first_row : bool;
 }
 
-(* --- runtime environment ------------------------------------------------ *)
+(* --- compile context and run environment ----------------------------------- *)
 
-type eval_ctx = {
+(** What compiling needs: the catalog, the plan collector and the
+    view-expansion stack. A compiled closure keeps nothing of it but [db],
+    so one closure can serve many statements ({!Db.prepared}). *)
+type compile_ctx = {
   db : Db.t;
-  cache : (string, relation) Hashtbl.t;  (** per-statement object snapshots *)
-  scans : (string, unit) Hashtbl.t;
-      (** tables whose scan was already recorded this statement — shared by
-          the row and batch paths so telemetry counts one scan per statement
-          per table regardless of which executor served it *)
   mutable subplans : plan list;
       (** plans of the expression subqueries (EXISTS, IN, scalar) compiled
           since the enclosing operator started compiling, newest first; that
           operator adopts them as inputs (see {!collecting}) *)
   mutable expanding : string list;
-      (** views whose bodies are being compiled or evaluated right now,
-          innermost first (see {!expand_view}) *)
+      (** views whose bodies are being compiled right now, innermost first
+          (see {!expand_view}) *)
+}
+
+(* What one run of a subquery built, kept for the rest of the statement run
+   (see {!run_memo}): a decorrelated subquery's hash of its inner rows, or
+   the answer of a subquery that reads no enclosing row. *)
+type memo =
+  | Hash of (Value.t list, Value.t array list) Hashtbl.t
+  | Once of Value.t array list
+
+(** What one statement's run owns. *)
+type run = {
+  rdb : Db.t;
+  cache : (string, relation) Hashtbl.t;  (** object snapshots *)
+  scans : (string, unit) Hashtbl.t;
+      (** tables whose scan was already recorded this statement — shared by
+          the row and batch paths so telemetry counts one scan per statement
+          per table regardless of which executor served it *)
+  mutable evaluating : string list;
+      (** views whose bodies are being evaluated right now, innermost first
+          (see {!view_relation}) *)
+  mutable memos : (unit ref * Value.t * memo) list;
+      (** per compiled subquery (its site) and pin *)
 }
 
 type env = {
-  ctx : eval_ctx;
+  run : run;
   rows : Value.t array list;  (** innermost scope first *)
-  params : (string, Value.t) Hashtbl.t;
+  args : args;
 }
+
+(* What a compiled closure reads besides rows: the trigger parameters and
+   the pin, the key a view pushdown runs its prepared body with (read by
+   {!pin_param}). *)
+and args = { params : (string, Value.t) Hashtbl.t; pin : Value.t }
 
 (** A compile-time scope: for each column position its alias and name. *)
 type scope = { entries : (string option * string) array }
@@ -72,6 +102,28 @@ type scope = { entries : (string option * string) array }
     handed down this way never runs a subquery, so every span recorded
     meanwhile belongs to the source. *)
 type rows_iter = env -> (Value.t array -> bool) -> Value.t array option
+
+(* The plans {!Db.prepared} holds: a view body for full evaluation, with
+   the plans of its operators ({!view_body}); a body with a key pushed into
+   it, per pinned column position and first-row mode ({!view_pushdown});
+   and a trigger's statements ({!run_trigger}). *)
+type pushed_body = All of (env -> relation) | First of rows_iter
+
+type trigger_plan = {
+  statements : ((string, Value.t) Hashtbl.t -> result) option array;
+      (** each compiled on its first run *)
+  new_params : string array;  (** [NEW.<column>] for each target column *)
+  old_params : string array;
+}
+
+type Db.prepared +=
+  | Body of plan list * (env -> relation)
+  | Pushdown of int * bool * plan * pushed_body
+  | Trigger_plan of trigger_plan
+
+let count_prepared db =
+  let m = db.Db.metrics in
+  m.Metrics.plans_prepared <- m.Metrics.plans_prepared + 1
 
 (* The iterator over an evaluated row list, and every row of an iterator:
    each mode can serve the other, the native one being the cheap one. *)
@@ -85,30 +137,70 @@ let drain (it : rows_iter) env =
          false));
   List.rev !acc
 
-let fresh_ctx db =
+let fresh_ctx db = { db; subplans = []; expanding = [] }
+
+let no_params : (string, Value.t) Hashtbl.t = Hashtbl.create 1
+
+let no_args = { params = no_params; pin = Value.Null }
+
+(** The environment a statement's run starts from. *)
+let start_env ?(params = no_params) db =
   {
-    db;
-    cache = Hashtbl.create 16;
-    scans = Hashtbl.create 8;
-    subplans = [];
-    expanding = [];
+    run =
+      {
+        rdb = db;
+        cache = Hashtbl.create 16;
+        scans = Hashtbl.create 8;
+        evaluating = [];
+        memos = [];
+      };
+    rows = [];
+    args = (if params == no_params then no_args else { params; pin = Value.Null });
   }
 
-(* Run [f], which expands the body of view [k]. A view met again while its
-   own body is still being expanded reads itself through a view cycle (a
-   view dropped and re-created over its dependents): the expansion would
-   never end, so it is refused. *)
-let expand_view ctx k f =
-  if List.mem k ctx.expanding then error "view %s depends on itself" k;
-  let outer = ctx.expanding in
-  ctx.expanding <- k :: outer;
+(* The parameter a prepared view body reads its pushed key from: the pin of
+   its env. No statement can name it. *)
+let pin_param = "$pin"
+
+(* What the subquery compiled at [site] built in [env]'s run, under its
+   pin; [build env] runs on the first use. A probe asks once per outer row,
+   so the lookup allocates nothing. *)
+let rec find_memo site pin = function
+  | [] -> None
+  | (s, p, m) :: rest ->
+    if s == site && (p == pin || compare p pin = 0) then Some m
+    else find_memo site pin rest
+
+let run_memo env site build =
+  let pin = env.args.pin in
+  match find_memo site pin env.run.memos with
+  | Some m -> m
+  | None ->
+    let m = build env in
+    env.run.memos <- (site, pin, m) :: env.run.memos;
+    m
+
+(* Run [f], which expands the body of view [k] while the views on [stack]
+   are expanded. A view met again while its own body is still being
+   expanded reads itself through a view cycle (a view dropped and re-created
+   over its dependents): the expansion would never end, so it is refused. *)
+let within_view k stack set f =
+  if List.mem k stack then error "view %s depends on itself" k;
+  set (k :: stack);
   match f () with
   | r ->
-    ctx.expanding <- outer;
+    set stack;
     r
   | exception e ->
-    ctx.expanding <- outer;
+    set stack;
     raise e
+
+(* The guard while compiling a view body, and while evaluating one. *)
+let expand_view ctx k f =
+  within_view k ctx.expanding (fun s -> ctx.expanding <- s) f
+
+let evaluate_view run k f =
+  within_view k run.evaluating (fun s -> run.evaluating <- s) f
 
 (* Run the compile step [f] and return its result together with the plans
    of the expression subqueries it compiled, in compile order. *)
@@ -119,8 +211,6 @@ let collecting ctx f =
   let subs = List.rev ctx.subplans in
   ctx.subplans <- saved;
   (r, subs)
-
-let no_params : (string, Value.t) Hashtbl.t = Hashtbl.create 1
 
 (* --- value operations --------------------------------------------------- *)
 
@@ -295,7 +385,8 @@ and view_memo db k (v : Db.view) : Db.view_memo =
   | Some vm -> vm
   | None ->
     Hashtbl.replace db.Db.view_memos k
-      { Db.vm_tables = []; vm_impure = true; vm_calls = true; vm_result = None };
+      { Db.vm_tables = []; vm_impure = true; vm_calls = true; vm_result = None;
+        vm_plans = [] };
     let tables, impure, calls = query_reads db v.Db.query in
     let vm =
       {
@@ -306,6 +397,7 @@ and view_memo db k (v : Db.view) : Db.view_memo =
         vm_impure = impure;
         vm_calls = calls;
         vm_result = None;
+        vm_plans = [];
       }
     in
     Hashtbl.replace db.Db.view_memos k vm;
@@ -500,10 +592,15 @@ let rec compile_row_expr scopes e : (env -> Value.t array -> Value.t) option =
           let outer = (List.nth env.rows (depth - 1)).(pos) in
           fun _ -> outer)
     | exception Exec_error _ -> None)
+  | Param p when p = pin_param ->
+    Some
+      (fun env ->
+        let v = env.args.pin in
+        fun _ -> v)
   | Param p ->
     Some
       (fun env ->
-        match Hashtbl.find_opt env.params p with
+        match Hashtbl.find_opt env.args.params p with
         | Some v -> fun _ -> v
         | None -> error "unbound trigger parameter %s" p)
   | Unop (Not, a) ->
@@ -812,9 +909,10 @@ let rec compile_expr ctx scopes e : env -> Value.t =
   | Col (q, n) ->
     let depth, pos = resolve_column scopes q n in
     fun env -> (List.nth env.rows depth).(pos)
+  | Param p when p = pin_param -> fun env -> env.args.pin
   | Param p -> (
     fun env ->
-      match Hashtbl.find_opt env.params p with
+      match Hashtbl.find_opt env.args.params p with
       | Some v -> v
       | None -> error "unbound trigger parameter %s" p)
   | Unop (Not, a) ->
@@ -899,11 +997,14 @@ let rec compile_expr ctx scopes e : env -> Value.t =
         if !found then Value.Bool (not negated)
         else if !saw_null then Value.Null
         else Value.Bool negated)
-  | Scalar q ->
-    let fq = compile_subquery ctx scopes q in
-    fun env -> (
-      let rel = fq env in
-      match rel.rel_rows with
+  | Scalar q -> (
+    let rows =
+      compile_subquery ctx scopes q (fun scopes ->
+          let p, fq = compile_query ctx scopes q in
+          (p, fun env -> (fq env).rel_rows))
+    in
+    fun env ->
+      match rows env with
       | [] -> Value.Null
       | [ row ] ->
         if Array.length row <> 1 then
@@ -950,9 +1051,10 @@ and compile_function ctx scopes name args =
       | Value.Null -> Value.Null
       | v -> Value.Text (String.lowercase_ascii (Value.to_string v)))
   | "NEXTVAL", [ fa ] ->
+    let db = ctx.db in
     fun env -> (
       match fa env with
-      | Value.Text seq -> Value.Int (Db.nextval env.ctx.db seq)
+      | Value.Text seq -> Value.Int (Db.nextval db seq)
       | v -> error "NEXTVAL expects a sequence name, got %s" (Value.describe v))
   | "CONSTRAINT_ERROR", [ fa ] ->
     (* trigger-body guard: abort the statement with a constraint violation
@@ -960,7 +1062,9 @@ and compile_function ctx scopes name args =
     fun env -> Table.violation "%s" (Value.to_string (fa env))
   | _, _ -> (
     match Db.find_function ctx.db name with
-    | Some f -> fun env -> f env.ctx.db (List.map (fun g -> g env) fargs)
+    | Some f ->
+      let db = ctx.db in
+      fun env -> f db (List.map (fun g -> g env) fargs)
     | None -> error "unknown function %s" name)
 
 (* Decorrelation of EXISTS: recognise a single-select subquery over one named
@@ -974,40 +1078,80 @@ and compile_exists ctx scopes q negated =
   | Some (p, probe) ->
     ctx.subplans <- p :: ctx.subplans;
     fun env -> Value.Bool (if negated then probe env = [] else probe env <> [])
-  | None
-    when first_row_ok ctx.db q
-         && (match q.limit with Some n -> n > 0 | None -> true) ->
-    let p, first = compile_first ctx scopes { q with limit = None } in
-    ctx.subplans <- p :: ctx.subplans;
-    fun env -> Value.Bool (Option.is_some (first env (fun _ -> true)) <> negated)
   | None ->
-    let fq = compile_subquery ctx scopes q in
-    fun env ->
-      let rel = fq env in
-      Value.Bool (if negated then rel.rel_rows = [] else rel.rel_rows <> [])
+    let first =
+      first_row_ok ctx.db q
+      && match q.limit with Some n -> n > 0 | None -> true
+    in
+    (* the rows that answer it: its first row, in first-row mode *)
+    let rows =
+      compile_subquery ctx scopes q (fun scopes ->
+          if first then
+            let p, it = compile_first ctx scopes { q with limit = None } in
+            (p, fun env -> Option.to_list (it env (fun _ -> true)))
+          else
+            let p, fq = compile_query ctx scopes q in
+            (p, fun env -> (fq env).rel_rows))
+    in
+    fun env -> Value.Bool ((rows env <> []) <> negated)
 
-(* An expression subquery: compiled like any query, its plan handed to the
-   enclosing operator. *)
-and compile_subquery ctx scopes q =
-  let p, fq = compile_query ctx scopes q in
+(* An expression subquery's rows, compiled by [compile] against [scopes],
+   its plan handed to the enclosing operator. One that reads no column of an
+   enclosing scope (it compiles without them) and calls no function but the
+   pure built-ins has the same rows for every row of a statement run (and
+   pin): with the fast paths on, it runs once, and its rows are kept in the
+   run's memos, never in the closure. *)
+and compile_subquery ctx scopes q compile =
+  let closed =
+    if
+      not
+        (ctx.db.Db.optimizations
+        && List.exists (fun s -> Array.length s.entries > 0) scopes
+        &&
+        let _, _, calls = query_reads ctx.db q in
+        not calls)
+    then None
+    else
+      let saved = ctx.subplans in
+      match compile [] with
+      | r -> Some r
+      | exception Exec_error _ ->
+        ctx.subplans <- saved;
+        None
+  in
+  let p, f =
+    match closed with
+    | Some (p, f) ->
+      let site = ref () in
+      let build env = Once (f env) in
+      ( p,
+        fun env ->
+          match run_memo env site build with
+          | Once rows -> rows
+          | Hash _ -> assert false )
+    | None -> compile scopes
+  in
   ctx.subplans <- p :: ctx.subplans;
-  fq
+  f
 
 and compile_in_query ctx scopes e q negated =
   let fe = compile_expr ctx scopes e in
-  let fq = compile_subquery ctx scopes q in
+  let fq =
+    compile_subquery ctx scopes q (fun scopes ->
+        let p, fq = compile_query ctx scopes q in
+        (p, fun env -> (fq env).rel_rows))
+  in
   fun env ->
     let v = fe env in
     if Value.is_null v then Value.Null
     else begin
-      let rel = fq env in
       let found = ref false and saw_null = ref false in
       List.iter
         (fun row ->
           if Array.length row <> 1 then error "IN subquery must return one column";
           if Value.is_null row.(0) then saw_null := true
           else if Value.equal v row.(0) then found := true)
-        rel.rel_rows;
+        (fq env);
       if !found then Value.Bool (not negated)
       else if !saw_null then Value.Null
       else Value.Bool negated
@@ -1057,7 +1201,13 @@ and decorrelate ctx scopes q =
         let outer_preds =
           List.filter_map (function `Outer_only e -> Some e | _ -> None) classified
         in
-        if keys = [] then None
+        (* the hash is keyed by inner columns *)
+        if
+          keys = []
+          || List.exists
+               (function Col _, _ -> false | _ -> true)
+               keys
+        then None
         else begin
           let fouter =
             List.map (fun e -> compile_expr ctx scopes e) outer_preds
@@ -1102,27 +1252,23 @@ and decorrelate ctx scopes q =
                         | Seq.Nil -> [])
                     | _ -> [] )
           | None ->
-          (* The memo is built lazily, once per statement (ctx). *)
-          let memo :
-              (Value.t list, Value.t array list) Hashtbl.t option ref =
-            ref None
-          in
+          (* The hash of the inner rows is built lazily, once per statement
+             run (and pin), and kept in the run's memos. *)
+          let site = ref () in
           let read = snd (object_read ctx tname) in
+          let key_positions =
+            List.filter_map
+              (function
+                | Col (q', n'), _ ->
+                  Some (snd (resolve_column [ inner_scope ] q' n'))
+                | _ -> None)
+              keys
+          in
+          let fpred =
+            List.map (fun e -> compile_expr ctx [ inner_scope ] e) inner_preds
+          in
           let build env =
-            let rel = object_relation env.ctx read.detail in
-            let key_positions =
-              List.map
-                (fun (inner_e, _) ->
-                  match inner_e with
-                  | Col (q', n') -> snd (resolve_column [ inner_scope ] q' n')
-                  | _ -> error "decorrelation key must be a column")
-                keys
-            in
-            let fpred =
-              List.map
-                (fun e -> compile_expr ctx [ inner_scope ] e)
-                inner_preds
-            in
+            let rel = object_relation env.run read.detail in
             let tbl = Hashtbl.create (List.length rel.rel_rows) in
             List.iter
               (fun row ->
@@ -1140,8 +1286,7 @@ and decorrelate ctx scopes q =
                       :: (Option.value (Hashtbl.find_opt tbl key) ~default:[]))
                 end)
               rel.rel_rows;
-            memo := Some tbl;
-            tbl
+            Hash tbl
           in
           Some
             ( read,
@@ -1151,7 +1296,11 @@ and decorrelate ctx scopes q =
                 in
                 if not outer_ok then []
                 else begin
-                  let tbl = match !memo with Some t -> t | None -> build env in
+                  let tbl =
+                    match run_memo env site build with
+                    | Hash t -> t
+                    | Once _ -> assert false
+                  in
                   let key = List.map (fun f -> f env) fkeys_outer in
                   if List.exists Value.is_null key then []
                   else Option.value (Hashtbl.find_opt tbl key) ~default:[]
@@ -1164,10 +1313,10 @@ and decorrelate ctx scopes q =
 (* --- relations of named objects ------------------------------------------ *)
 
 (* Record a table scan once per statement, whichever executor serves it. *)
-and record_scan_once ctx k (tbl : Table.t) =
-  if not (Hashtbl.mem ctx.scans k) then begin
-    Hashtbl.replace ctx.scans k ();
-    let m = ctx.db.Db.metrics in
+and record_scan_once run k (tbl : Table.t) =
+  if not (Hashtbl.mem run.scans k) then begin
+    Hashtbl.replace run.scans k ();
+    let m = run.rdb.Db.metrics in
     if Metrics.collecting m then Metrics.record_scan m k (Table.cardinality tbl)
   end
 
@@ -1175,23 +1324,24 @@ and record_scan_once ctx k (tbl : Table.t) =
    Callers hold the batch for at most one statement, so a concurrent write
    (which bumps the epoch and re-extracts on next access) cannot be observed
    mid-plan any more than the row path's per-statement snapshot could. *)
-and table_batch ctx k (tbl : Table.t) =
-  record_scan_once ctx k tbl;
+and table_batch run k (tbl : Table.t) =
+  record_scan_once run k tbl;
   Table.batch tbl
 
 (* The relation of the object whose catalog key (lowercase name) is [k]. *)
-and object_relation ctx k : relation =
-  match Hashtbl.find_opt ctx.cache k with
+and object_relation run k : relation =
+  match Hashtbl.find_opt run.cache k with
   | Some rel -> rel
   | None ->
+    let db = run.rdb in
     let rel =
-      match Db.find_key ctx.db k with
+      match Db.find_key db k with
       | Some (Db.Obj_table tbl) ->
-        record_scan_once ctx k tbl;
-        let m = ctx.db.Db.metrics in
+        record_scan_once run k tbl;
+        let m = db.Db.metrics in
         let tr = Metrics.child_active m in
         let ts = if tr then Metrics.now_ns () else 0 in
-        let path = scan_path ctx.db in
+        let path = scan_path db in
         let rows =
           if path = "batch" then Batch.rows_of (Table.batch tbl)
           else Hashtbl.fold (fun _ row acc -> row :: acc) tbl.Table.rows []
@@ -1205,10 +1355,10 @@ and object_relation ctx k : relation =
           rel_rows = rows;
           rel_count = n;
         }
-      | Some (Db.Obj_view v) -> view_relation ctx k v
+      | Some (Db.Obj_view v) -> view_relation run k v
       | None -> error "no such table or view %s" k
     in
-    Hashtbl.replace ctx.cache k rel;
+    Hashtbl.replace run.cache k rel;
     rel
 
 (* Evaluate a view, going through the cross-statement result cache kept in
@@ -1216,8 +1366,9 @@ and object_relation ctx k : relation =
    reads is at the epoch recorded when the result was computed; a miss
    recomputes and re-stores. A view that can call an impure function is
    evaluated afresh every statement. *)
-and view_relation ctx k (v : Db.view) : relation =
-  let m = ctx.db.Db.metrics in
+and view_relation run k (v : Db.view) : relation =
+  let db = run.rdb in
+  let m = db.Db.metrics in
   let fr = if Metrics.child_active m then Some (Metrics.open_span m) else None in
   let finish path rel =
     (match fr with
@@ -1238,25 +1389,55 @@ and view_relation ctx k (v : Db.view) : relation =
     let d = m.Metrics.cur_view_depth + 1 in
     m.Metrics.cur_view_depth <- d;
     if d > m.Metrics.max_view_depth then m.Metrics.max_view_depth <- d;
+    (* a body compiled now sees the views being evaluated as being
+       expanded, so a cycle through a pushdown is refused by name *)
+    let ctx = { (fresh_ctx db) with expanding = run.evaluating } in
     let rel =
-      expand_view ctx k (fun () ->
-          let _, f = compile_query ctx [] v.Db.query in
-          f { ctx; rows = []; params = no_params })
+      evaluate_view run k (fun () ->
+          let _, f = view_body ctx k v in
+          f { run; rows = []; args = no_args })
     in
     m.Metrics.cur_view_depth <- d - 1;
     { rel with rel_cols = v.Db.view_cols }
   in
-  if not ctx.db.Db.view_cache_enabled then finish "computed" (compute ())
+  if not db.Db.view_cache_enabled then finish "computed" (compute ())
   else
-    let vm = view_memo ctx.db k v in
-    match Db.cache_lookup ctx.db vm with
+    let vm = view_memo db k v in
+    match Db.cache_lookup db vm with
     | Some rel -> finish "cache-hit" rel
     | None ->
       (* epochs are pinned before evaluation; view bodies cannot write *)
       let epochs = List.map (fun tbl -> tbl.Table.epoch) vm.Db.vm_tables in
       let rel = compute () in
-      Db.cache_store ctx.db vm rel epochs;
+      Db.cache_store db vm rel epochs;
       finish "computed" rel
+
+(* The compiled body of view [k] for full evaluation, with the plans of its
+   operators. With the planner fast paths on it is prepared once per catalog
+   state, in the view's memo; with them off every statement compiles it
+   afresh, which is what the coherence reference compares against. *)
+and view_body ctx k (v : Db.view) : plan list * (env -> relation) =
+  let compile () =
+    expand_view ctx k (fun () ->
+        let (p, f), subs =
+          collecting ctx (fun () -> compile_query ctx [] v.Db.query)
+        in
+        (p :: subs, f))
+  in
+  if not ctx.db.Db.optimizations then compile ()
+  else
+    let vm = view_memo ctx.db k v in
+    match
+      List.find_map
+        (function Body (ps, f) -> Some (ps, f) | _ -> None)
+        vm.Db.vm_plans
+    with
+    | Some body -> body
+    | None ->
+      let ((ps, f) as body) = compile () in
+      vm.Db.vm_plans <- Body (ps, f) :: vm.Db.vm_plans;
+      count_prepared ctx.db;
+      body
 
 (* --- batch pipeline ------------------------------------------------------- *)
 
@@ -1348,7 +1529,7 @@ and batch_from ctx outer_scopes from :
         Some
           ( leaf_entries name alias (Schema.names tbl.Table.schema),
             node,
-            fun env -> (table_batch env.ctx node.detail tbl, None) )
+            fun env -> (table_batch env.run node.detail tbl, None) )
       | _ -> None)
     | From_select ({ body = Select s; order_by = []; limit = None }, alias)
       when s.group_by = [] && s.having = None && (not s.distinct)
@@ -1417,7 +1598,7 @@ and compile_from ctx ~first outer_scopes from :
     let cols, node = object_read ctx name in
     ( leaf_entries name alias cols,
       node,
-      (fun env -> (object_relation env.ctx node.detail).rel_rows),
+      (fun env -> (object_relation env.run node.detail).rel_rows),
       None )
   | From_select (q, _) when first ->
     let p, it = compile_first ctx outer_scopes q in
@@ -2434,7 +2615,10 @@ and index_fast_path ctx ~first sel scope scopes =
    rewritten by pushing the equality into every branch of the view body.
    Applied recursively through view chains, this turns point lookups along
    InVerDa's generated delta code into O(depth) instead of O(depth x N).
-   Returns None when the view shape does not allow it. *)
+   A key that is a constant or a parameter is the pin of a body prepared
+   once per (view, pinned column, first-row mode) in the view's memo; any
+   other key is spliced into a body compiled for this statement. Returns
+   None when the view shape does not allow it. *)
 and view_pushdown ctx ~first sel =
   if not ctx.db.Db.optimizations then None
   else
@@ -2455,114 +2639,150 @@ and view_pushdown ctx ~first sel =
         with
         | None -> None
         | Some pos -> (
-          (* rewrite each branch of the view body *)
-          let rec rewrite_set_op = function
-            | Select s -> (
-              if s.group_by <> [] || s.having <> None then None
-              else
-                let item_exprs =
-                  List.concat_map
-                    (function
-                      | Star -> (
-                        match s.from with
-                        | Some (From_table (base, _)) ->
-                          List.map
-                            (fun c -> Col (None, c))
-                            (object_columns ctx base)
-                        | _ -> [])
-                      | Qualified_star _ -> []
-                      | Sel_expr (e, _) -> [ e ])
-                    s.items
-                in
-                match List.nth_opt item_exprs pos with
-                | Some item when item <> Const Value.Null ->
-                  let extra = Binop (Eq, item, key_expr) in
-                  let s =
-                    {
-                      s with
-                      where =
-                        (match s.where with
-                        | Some old -> Some (Binop (And, old, extra))
-                        | None -> Some extra);
-                    }
-                  in
-                  (* additionally wrap the join side the pinned column comes
-                     from, so the filter reduces that side before the join *)
-                  let s =
-                    match item, s.from with
-                    | Col (Some alias, icol), Some f -> (
-                      match pin_side alias icol key_expr f with
-                      | Some f' -> { s with from = Some f' }
-                      | None -> s)
-                    | _ -> s
-                  in
-                  Some (Select s)
-                | _ ->
-                  (* a NULL constant in this position can never equal the
-                     pinned key (point lookups never pin to NULL) *)
-                  Some
-                    (Select
-                       { s with where = Some (Const (Value.Bool false)) }))
-            | Union (a, b, all) -> (
-              match rewrite_set_op a, rewrite_set_op b with
-              | Some a', Some b' -> Some (Union (a', b', all))
-              | _ -> None)
+          let k = Db.key vname in
+          let pushed =
+            match key_expr with
+            | Const _ | Param _ ->
+              Option.map
+                (fun (p, body) -> (p, body, compile_expr ctx [] key_expr))
+                (prepared_pushdown ctx k view pos first)
+            | _ ->
+              Option.map
+                (fun (p, body) -> (p, body, fun env -> env.args.pin))
+                (compile_pushdown ctx k view pos first key_expr)
           in
-          let q = view.Db.query in
-          if q.order_by <> [] || q.limit <> None then None
-          else
-            match rewrite_set_op q.body with
-            | None -> None
-            | Some body ->
-              let q = { body; order_by = []; limit = None } in
-              (* in first-row mode the body runs in first-row mode too,
-                 handed the consumer's test: its first row is one the
-                 consumer keeps *)
-              let p, body =
-                expand_view ctx (Db.key vname) (fun () ->
-                    if first then
-                      let p, it = compile_first ctx [] q in
-                      (p, `First it)
-                    else
-                      let p, fq = compile_query ctx [] q in
-                      (p, `All fq))
+          match pushed with
+          | None -> None
+          | Some (p, body, fkey) -> (
+            let node =
+              { kind = "view"; detail = k; path = "pushdown"; inputs = [ p ];
+                first_row = first }
+            in
+            let m = ctx.db.Db.metrics in
+            (* the body runs in a scope of its own, with the key as its pin *)
+            let body_env (env : env) =
+              { env with rows = []; args = { env.args with pin = fkey env } }
+            in
+            match body with
+            | All fq ->
+              let produce env =
+                let env = body_env env in
+                if Metrics.child_active m then (
+                  let fr = Metrics.open_span m in
+                  let rows = (fq env).rel_rows in
+                  Metrics.close_span m fr ~kind:node.kind ~detail:node.detail
+                    ~path:node.path ~rows_in:(-1) ~rows:(List.length rows);
+                  rows)
+                else (fq env).rel_rows
               in
-              let node =
-                { kind = "view"; detail = Db.key vname; path = "pushdown";
-                  inputs = [ p ]; first_row = first }
+              Some (node, produce, None)
+            | First it ->
+              let first_produce env keep =
+                let env = body_env env in
+                if Metrics.child_active m then (
+                  let fr = Metrics.open_span m in
+                  let n = ref 0 in
+                  let r =
+                    it env (fun row ->
+                        incr n;
+                        keep row)
+                  in
+                  Metrics.close_span m fr ~kind:node.kind ~detail:node.detail
+                    ~path:node.path ~rows_in:(-1) ~rows:!n;
+                  r)
+                else it env keep
               in
-              let m = ctx.db.Db.metrics in
-              match body with
-              | `All fq ->
-                let produce (env : env) =
-                  if Metrics.child_active m then (
-                    let fr = Metrics.open_span m in
-                    let rows = (fq { env with rows = [] }).rel_rows in
-                    Metrics.close_span m fr ~kind:node.kind
-                      ~detail:node.detail ~path:node.path ~rows_in:(-1)
-                      ~rows:(List.length rows);
-                    rows)
-                  else (fq { env with rows = [] }).rel_rows
-                in
-                Some (node, produce, None)
-              | `First it ->
-                let first_produce (env : env) keep =
-                  let env = { env with rows = [] } in
-                  if Metrics.child_active m then (
-                    let fr = Metrics.open_span m in
-                    let n = ref 0 in
-                    let r =
-                      it env (fun row ->
-                          incr n;
-                          keep row)
-                    in
-                    Metrics.close_span m fr ~kind:node.kind
-                      ~detail:node.detail ~path:node.path ~rows_in:(-1)
-                      ~rows:!n;
-                    r)
-                  else it env keep
-                in
-                Some (node, drain first_produce, Some first_produce)))))
+              Some (node, drain first_produce, Some first_produce))))))
+
+(* The body of view [k] (record [view]) with [key] pushed into every branch
+   as the value of the column at [pos], compiled in first-row mode when
+   [first] (handed the consumer's test: its first row is one the consumer
+   keeps). [None] when the body's shape does not allow it. *)
+and compile_pushdown ctx k (view : Db.view) pos first key =
+  let rec rewrite_set_op = function
+    | Select s -> (
+      if s.group_by <> [] || s.having <> None then None
+      else
+        let item_exprs =
+          List.concat_map
+            (function
+              | Star -> (
+                match s.from with
+                | Some (From_table (base, _)) ->
+                  List.map (fun c -> Col (None, c)) (object_columns ctx base)
+                | _ -> [])
+              | Qualified_star _ -> []
+              | Sel_expr (e, _) -> [ e ])
+            s.items
+        in
+        match List.nth_opt item_exprs pos with
+        | Some item when item <> Const Value.Null ->
+          let extra = Binop (Eq, item, key) in
+          let s =
+            {
+              s with
+              where =
+                (match s.where with
+                | Some old -> Some (Binop (And, old, extra))
+                | None -> Some extra);
+            }
+          in
+          (* additionally wrap the join side the pinned column comes from,
+             so the filter reduces that side before the join *)
+          let s =
+            match item, s.from with
+            | Col (Some alias, icol), Some f -> (
+              match pin_side alias icol key f with
+              | Some f' -> { s with from = Some f' }
+              | None -> s)
+            | _ -> s
+          in
+          Some (Select s)
+        | _ ->
+          (* a NULL constant in this position can never equal the pinned
+             key (point lookups never pin to NULL) *)
+          Some (Select { s with where = Some (Const (Value.Bool false)) }))
+    | Union (a, b, all) -> (
+      match rewrite_set_op a, rewrite_set_op b with
+      | Some a', Some b' -> Some (Union (a', b', all))
+      | _ -> None)
+  in
+  let q = view.Db.query in
+  if q.order_by <> [] || q.limit <> None then None
+  else
+    match rewrite_set_op q.body with
+    | None -> None
+    | Some body ->
+      let q = { body; order_by = []; limit = None } in
+      Some
+        (expand_view ctx k (fun () ->
+             if first then
+               let p, it = compile_first ctx [] q in
+               (p, First it)
+             else
+               let p, fq = compile_query ctx [] q in
+               (p, All fq)))
+
+(* {!compile_pushdown} with the pin as the key, prepared in the view's memo
+   on first use. *)
+and prepared_pushdown ctx k view pos first =
+  let vm = view_memo ctx.db k view in
+  match
+    List.find_map
+      (function
+        | Pushdown (pos', first', p, body) when pos' = pos && first' = first ->
+          Some (p, body)
+        | _ -> None)
+      vm.Db.vm_plans
+  with
+  | Some pushed -> Some pushed
+  | None -> (
+    match compile_pushdown ctx k view pos first (Param pin_param) with
+    | None -> None
+    | Some (p, body) as pushed ->
+      vm.Db.vm_plans <- Pushdown (pos, first, p, body) :: vm.Db.vm_plans;
+      count_prepared ctx.db;
+      pushed)
 
 and compile_aggregate ctx scopes sel cols produce filter =
   (* a bare integer is a 1-based position in the select list, as in
@@ -2583,81 +2803,100 @@ and compile_aggregate ctx scopes sel cols produce filter =
   (* the only empty group is the one an ungrouped aggregate forms over an
      empty input; its bare columns read an all-NULL row *)
   let width = match scopes with s :: _ -> Array.length s.entries | [] -> 0 in
-  let eval_aggregate env group_rows e =
-    (* evaluate [e] against a group: aggregate calls consume the group,
-       other column refs read the group's first row *)
-    let rep_env =
-      match group_rows with
-      | row :: _ -> { env with rows = row :: env.rows }
-      | [] -> { env with rows = Array.make width Value.Null :: env.rows }
-    in
-    let rec eval e =
-      match e with
-      | Fun ("COUNT", [ Const (Value.Text "*") ]) ->
-        Value.Int (List.length group_rows)
-      | Fun ("COUNT", [ arg ]) ->
-        let f = compile_expr ctx scopes arg in
-        let n =
-          List.fold_left
-            (fun acc row ->
-              let v = f { env with rows = row :: env.rows } in
-              if Value.is_null v then acc else acc + 1)
-            0 group_rows
-        in
-        Value.Int n
-      | Fun (("SUM" | "AVG" | "MIN" | "MAX") as name, [ arg ]) ->
-        let f = compile_expr ctx scopes arg in
-        let vals =
-          List.filter_map
-            (fun row ->
-              let v = f { env with rows = row :: env.rows } in
-              if Value.is_null v then None else Some v)
-            group_rows
-        in
-        (match vals, name with
-        | [], _ -> Value.Null
-        | _, "SUM" ->
-          List.fold_left (fun acc v -> numeric_binop Add acc v) (Value.Int 0) vals
-        | _, "AVG" ->
-          let sum =
+  let rep_env env group_rows =
+    match group_rows with
+    | row :: _ -> { env with rows = row :: env.rows }
+    | [] -> { env with rows = Array.make width Value.Null :: env.rows }
+  in
+  (* [e] against a group: aggregate calls consume the group, other column
+     refs read the group's first row. A part that does not compile fails
+     when a group evaluates it, as an unsupported shape does. *)
+  let compile_part e =
+    match compile_expr ctx scopes e with
+    | f -> f
+    | exception (Exec_error _ as exn) -> fun _ -> raise exn
+  in
+  let rec compile_aggregate_expr e : env -> Value.t array list -> Value.t =
+    match e with
+    | Fun ("COUNT", [ Const (Value.Text "*") ]) ->
+      fun _ group_rows -> Value.Int (List.length group_rows)
+    | Fun ("COUNT", [ arg ]) ->
+      let f = compile_part arg in
+      fun env group_rows ->
+        Value.Int
+          (List.fold_left
+             (fun acc row ->
+               let v = f { env with rows = row :: env.rows } in
+               if Value.is_null v then acc else acc + 1)
+             0 group_rows)
+    | Fun (("SUM" | "AVG" | "MIN" | "MAX") as name, [ arg ]) -> (
+      let f = compile_part arg in
+      let vals env group_rows =
+        List.filter_map
+          (fun row ->
+            let v = f { env with rows = row :: env.rows } in
+            if Value.is_null v then None else Some v)
+          group_rows
+      in
+      match name with
+      | "SUM" ->
+        fun env group_rows ->
+          (match vals env group_rows with
+          | [] -> Value.Null
+          | vals ->
+            List.fold_left (fun acc v -> numeric_binop Add acc v) (Value.Int 0)
+              vals)
+      | "AVG" ->
+        fun env group_rows ->
+          (match vals env group_rows with
+          | [] -> Value.Null
+          | vals ->
+            let sum =
+              List.fold_left (fun acc v -> acc +. Value.as_float v) 0.0 vals
+            in
+            Value.Real (sum /. float_of_int (List.length vals)))
+      | _ ->
+        let replaces c = if name = "MIN" then c < 0 else c > 0 in
+        fun env group_rows ->
+          (match vals env group_rows with
+          | [] -> Value.Null
+          | v0 :: rest ->
             List.fold_left
-              (fun acc v -> acc +. Value.as_float v)
-              0.0 vals
-          in
-          Value.Real (sum /. float_of_int (List.length vals))
-        | v0 :: rest, "MIN" ->
-          List.fold_left
-            (fun acc v -> if Value.compare_exn v acc < 0 then v else acc)
-            v0 rest
-        | v0 :: rest, "MAX" ->
-          List.fold_left
-            (fun acc v -> if Value.compare_exn v acc > 0 then v else acc)
-            v0 rest
-        | _ ->
-          error "aggregate %s: unsupported arguments in %s" name
-            (Sql_printer.expr_to_string e))
-      | Binop (op, a, b) -> (
-        match op with
-        | And | Or ->
-          (compile_expr ctx scopes e) rep_env (* no aggregates below *)
-        | Add | Sub | Mul | Div | Mod -> numeric_binop op (eval a) (eval b)
-        | Concat -> concat_values (eval a) (eval b)
-        | Eq | Neq | Lt | Le | Gt | Ge -> comparison_binop op (eval a) (eval b))
-      | Unop (Neg, a) -> numeric_binop Sub (Value.Int 0) (eval a)
-      | _ when has_aggregate e ->
+              (fun acc v -> if replaces (Value.compare_exn v acc) then v else acc)
+              v0 rest))
+    | Binop ((And | Or), _, _) ->
+      (* no aggregates below *)
+      let f = compile_part e in
+      fun env group_rows -> f (rep_env env group_rows)
+    | Binop (op, a, b) -> (
+      let fa = compile_aggregate_expr a and fb = compile_aggregate_expr b in
+      match op with
+      | Concat ->
+        fun env group_rows -> concat_values (fa env group_rows) (fb env group_rows)
+      | Eq | Neq | Lt | Le | Gt | Ge ->
+        fun env group_rows ->
+          comparison_binop op (fa env group_rows) (fb env group_rows)
+      | _ ->
+        fun env group_rows -> numeric_binop op (fa env group_rows) (fb env group_rows))
+    | Unop (Neg, a) ->
+      let fa = compile_aggregate_expr a in
+      fun env group_rows -> numeric_binop Sub (Value.Int 0) (fa env group_rows)
+    | _ when has_aggregate e ->
+      fun _ _ ->
         error "unsupported aggregate expression shape in %s"
           (Sql_printer.expr_to_string e)
-      | _ -> (compile_expr ctx scopes e) rep_env
-    in
-    eval e
+    | _ ->
+      let f = compile_part e in
+      fun env group_rows -> f (rep_env env group_rows)
   in
-  let item_exprs =
+  let fitems =
     List.map
       (function
-        | Sel_expr (e, _) -> e
+        | Sel_expr (e, _) -> compile_aggregate_expr e
         | Star | Qualified_star _ -> error "star select with aggregation")
       sel.items
   in
+  let fhaving = Option.map compile_aggregate_expr sel.having in
   fun env ->
     let rows = filter env (produce env) in
     let groups : (Value.t list, Value.t array list) Hashtbl.t =
@@ -2677,7 +2916,6 @@ and compile_aggregate ctx scopes sel cols produce filter =
           Hashtbl.replace groups key
             (row :: Option.value (Hashtbl.find_opt groups key) ~default:[]))
         rows;
-    let fhaving = sel.having in
     let n = ref 0 in
     let out =
       List.rev !order
@@ -2687,7 +2925,7 @@ and compile_aggregate ctx scopes sel cols produce filter =
                match fhaving with
                | None -> true
                | Some h -> (
-                 match eval_aggregate env group_rows h with
+                 match h env group_rows with
                  | Value.Bool true -> true
                  | _ -> false)
              in
@@ -2695,8 +2933,7 @@ and compile_aggregate ctx scopes sel cols produce filter =
              else begin
                incr n;
                Some
-                 (Array.of_list
-                    (List.map (eval_aggregate env group_rows) item_exprs))
+                 (Array.of_list (List.map (fun f -> f env group_rows) fitems))
              end)
     in
     { rel_cols = cols; rel_rows = out; rel_count = !n }
@@ -2871,29 +3108,26 @@ let query_targets q =
   List.rev !acc
 
 (** The plan {!eval_query} compiles for [q], without running it, under a
-    [query] root. View leaves are expanded through the same [compile_query]
-    call {!view_relation} makes when it evaluates them — once per view, as
-    the statement snapshot serves any repeated read. Raises [Exec_error]
-    when [q], or a view body it reads, does not compile. *)
+    [query] root. View leaves are expanded into the body {!view_relation}
+    evaluates — the prepared one, with the planner fast paths on — once per
+    view, as the statement snapshot serves any repeated read. Raises
+    [Exec_error] when [q], or a view body it reads, does not compile. *)
 let plan db q =
   let ctx = fresh_ctx db in
   let expanded = Hashtbl.create 8 in
-  let compiled q =
-    let (body, _), subs = collecting ctx (fun () -> compile_query ctx [] q) in
-    body :: subs
-  in
   let rec expand p =
     let inputs =
       match p.kind, p.path, Db.find_view_opt db p.detail with
       | "view", "computed", Some v when not (Hashtbl.mem expanded p.detail) ->
         Hashtbl.replace expanded p.detail ();
-        compiled v.Db.query
+        fst (view_body ctx p.detail v)
       | _ -> p.inputs
     in
     { p with inputs = List.map expand inputs }
   in
+  let (body, _), subs = collecting ctx (fun () -> compile_query ctx [] q) in
   expand
-    { kind = "query"; detail = ""; path = ""; inputs = compiled q;
+    { kind = "query"; detail = ""; path = ""; inputs = body :: subs;
       first_row = false }
 
 let span_shape stmt =
@@ -2955,9 +3189,28 @@ let view_columns ctx (q : query) explicit =
 let eval_query db ?(params = no_params) q =
   let ctx = fresh_ctx db in
   let _, f = compile_query ctx [] q in
-  f { ctx; rows = []; params }
+  f (start_env ~params db)
 
-let rec exec_statement db ?(params = no_params) stmt : result =
+(* [q] compiled, to run with a statement's parameters. At the top level,
+   with telemetry collecting, the compile time is the statement's [plan]
+   span. *)
+let compile_statement_query db q =
+  let m = db.Db.metrics in
+  let timed = db.Db.trigger_depth = 0 && Metrics.collecting m in
+  let c0 = if timed then Metrics.now_ns () else 0 in
+  let _, f = compile_query (fresh_ctx db) [] q in
+  if timed then m.Metrics.last_compile_ns <- Metrics.now_ns () - c0;
+  fun params -> f (start_env ~params db)
+
+(* The parameter names a trigger binds the columns [cols] of a row to. *)
+let param_names prefix cols =
+  Array.of_list
+    (List.map (fun col -> prefix ^ "." ^ String.lowercase_ascii col) cols)
+
+(** Execute [stmt]. A trigger's statement runs off its [slot] in the
+    trigger's plan: compiled on its first run there, with the planner fast
+    paths on, and reused until the catalog changes. *)
+let rec exec_statement db ?(params = no_params) ?slot stmt : result =
   let top_level = db.Db.trigger_depth = 0 in
   let mark = db.Db.undo in
   db.Db.statements_executed <- db.Db.statements_executed + 1;
@@ -2987,64 +3240,19 @@ let rec exec_statement db ?(params = no_params) stmt : result =
     Metrics.begin_trace m
   end;
   let run () =
-    match stmt with
-    | Query q -> Rows (relation_of_query db params q)
-    | Create_table { name; if_not_exists; cols } ->
-      let schema =
-        Schema.make
-          (List.map (fun c -> Schema.column c.col_name c.col_ty) cols)
-      in
-      let pk =
-        let rec find i = function
-          | [] -> None
-          | c :: _ when c.primary_key -> Some i
-          | _ :: rest -> find (i + 1) rest
-        in
-        find 0 cols
-      in
-      Db.create_table db ~name ~schema ~pk ~if_not_exists;
-      Done
-    | Drop_table { name; if_exists } ->
-      Db.drop_table db ~name ~if_exists;
-      Done
-    | Create_view { name; or_replace; query } ->
-      let ctx = fresh_ctx db in
-      let cols = view_columns ctx query None in
-      Db.create_view db ~name ~query ~cols ~or_replace;
-      Done
-    | Drop_view { name; if_exists } ->
-      Db.drop_view db ~name ~if_exists;
-      Done
-    | Create_index { name = _; table; column } ->
-      Db.logged_add_index db (Db.find_table db table) column;
-      Done
-    | Create_trigger { name; event; table; instead_of; body } ->
-      Db.create_trigger db ~name ~event ~target:table ~instead_of ~body;
-      Done
-    | Drop_trigger { name; if_exists } ->
-      Db.drop_trigger db ~name ~if_exists;
-      Done
-    | Insert { table; columns; source } -> exec_insert db params table columns source
-    | Update { table; sets; where } -> exec_update db params table sets where
-    | Delete { table; where } -> exec_delete db params table where
-    | Set_new (col, e) ->
-      let ctx = fresh_ctx db in
-      let f = compile_expr ctx [] e in
-      Hashtbl.replace params ("NEW." ^ col) (f { ctx; rows = []; params });
-      Done
-    | Begin_txn ->
-      if db.Db.in_txn then error "nested transactions are not supported";
-      db.Db.in_txn <- true;
-      db.Db.undo <- [];
-      Done
-    | Commit ->
-      db.Db.in_txn <- false;
-      db.Db.undo <- [];
-      Done
-    | Rollback ->
-      Db.rollback_to db [];
-      db.Db.in_txn <- false;
-      Done
+    let compiled =
+      match slot with
+      | Some (plan, i) when db.Db.optimizations -> (
+        match plan.statements.(i) with
+        | Some f -> f
+        | None ->
+          let f = compile_statement db stmt in
+          plan.statements.(i) <- Some f;
+          count_prepared db;
+          f)
+      | _ -> compile_statement db stmt
+    in
+    compiled params
   in
   match run () with
   | result ->
@@ -3061,18 +3269,98 @@ let rec exec_statement db ?(params = no_params) stmt : result =
     end;
     raise exn
 
-and relation_of_query db params q =
-  let ctx = fresh_ctx db in
-  let m = db.Db.metrics in
-  if db.Db.trigger_depth = 0 && Metrics.collecting m then begin
-    let c0 = Metrics.now_ns () in
-    let _, f = compile_query ctx [] q in
-    m.Metrics.last_compile_ns <- Metrics.now_ns () - c0;
-    f { ctx; rows = []; params }
-  end
-  else
-    let _, f = compile_query ctx [] q in
-    f { ctx; rows = []; params }
+(* [stmt] compiled, to run with the statement's parameters: a query, a
+   write or SET NEW compiles its expressions and resolves its target (and
+   through a view the trigger it fires); DDL and transaction control do all
+   their work when run. *)
+and compile_statement db stmt : (string, Value.t) Hashtbl.t -> result =
+  match stmt with
+  | Query q ->
+    let f = compile_statement_query db q in
+    fun params -> Rows (f params)
+  | Create_table { name; if_not_exists; cols } ->
+    fun _ ->
+      let schema =
+        Schema.make
+          (List.map (fun c -> Schema.column c.col_name c.col_ty) cols)
+      in
+      let pk =
+        let rec find i = function
+          | [] -> None
+          | c :: _ when c.primary_key -> Some i
+          | _ :: rest -> find (i + 1) rest
+        in
+        find 0 cols
+      in
+      Db.create_table db ~name ~schema ~pk ~if_not_exists;
+      Done
+  | Drop_table { name; if_exists } ->
+    fun _ ->
+      Db.drop_table db ~name ~if_exists;
+      Done
+  | Create_view { name; or_replace; query } ->
+    fun _ ->
+      let cols = view_columns (fresh_ctx db) query None in
+      Db.create_view db ~name ~query ~cols ~or_replace;
+      Done
+  | Drop_view { name; if_exists } ->
+    fun _ ->
+      Db.drop_view db ~name ~if_exists;
+      Done
+  | Create_index { name = _; table; column } ->
+    fun _ ->
+      Db.logged_add_index db (Db.find_table db table) column;
+      Done
+  | Create_trigger { name; event; table; instead_of; body } ->
+    fun _ ->
+      Db.create_trigger db ~name ~event ~target:table ~instead_of ~body;
+      Done
+  | Drop_trigger { name; if_exists } ->
+    fun _ ->
+      Db.drop_trigger db ~name ~if_exists;
+      Done
+  | Insert { table; columns; source } -> compile_insert db table columns source
+  | Update { table; sets; where } -> compile_update db table sets where
+  | Delete { table; where } -> compile_delete db table where
+  | Set_new (col, e) ->
+    let f = compile_expr (fresh_ctx db) [] e and name = "NEW." ^ col in
+    fun params ->
+      Hashtbl.replace params name (f (start_env ~params db));
+      Done
+  | Begin_txn ->
+    fun _ ->
+      if db.Db.in_txn then error "nested transactions are not supported";
+      db.Db.in_txn <- true;
+      db.Db.undo <- [];
+      Done
+  | Commit ->
+    fun _ ->
+      db.Db.in_txn <- false;
+      db.Db.undo <- [];
+      Done
+  | Rollback ->
+    fun _ ->
+      Db.rollback_to db [];
+      db.Db.in_txn <- false;
+      Done
+
+(* The trigger's plan, with the fast paths on: the slots its statements are
+   prepared in and the parameter names its rows bind, kept in the trigger's
+   memo. *)
+and trigger_plan db trig cols =
+  let k = Db.key trig.Db.trig_name in
+  match Hashtbl.find_opt db.Db.trigger_memos k with
+  | Some (Trigger_plan plan) -> plan
+  | _ ->
+    let plan =
+      {
+        statements = Array.make (List.length trig.Db.body) None;
+        new_params = param_names "NEW" cols;
+        old_params = param_names "OLD" cols;
+      }
+    in
+    Hashtbl.replace db.Db.trigger_memos k (Trigger_plan plan);
+    plan
 
 and run_trigger db trig ~new_row ~old_row cols =
   (let m = db.Db.metrics in
@@ -3083,27 +3371,32 @@ and run_trigger db trig ~new_row ~old_row cols =
     error "trigger cascade exceeded depth %d (cycle in delta code?)"
       max_trigger_depth
   end;
+  let plan =
+    if db.Db.optimizations then Some (trigger_plan db trig cols) else None
+  in
   let params = Hashtbl.create 16 in
-  let bind prefix row =
+  let bind names row =
     match row with
     | None -> ()
     | Some values ->
-      List.iteri
-        (fun i col ->
-          Hashtbl.replace params
-            (prefix ^ "." ^ String.lowercase_ascii col)
-            values.(i))
-        cols
+      Array.iteri (fun i name -> Hashtbl.replace params name values.(i)) names
   in
-  bind "NEW" new_row;
-  bind "OLD" old_row;
+  (match plan with
+  | Some plan ->
+    bind plan.new_params new_row;
+    bind plan.old_params old_row
+  | None ->
+    bind (param_names "NEW" cols) new_row;
+    bind (param_names "OLD" cols) old_row);
   let m = db.Db.metrics in
   let fr = if Metrics.child_active m then Some (Metrics.open_span m) else None in
   Fun.protect
     ~finally:(fun () -> db.Db.trigger_depth <- db.Db.trigger_depth - 1)
     (fun () ->
-      List.iter
-        (fun stmt -> ignore (exec_statement db ~params stmt))
+      List.iteri
+        (fun i stmt ->
+          let slot = Option.map (fun plan -> (plan, i)) plan in
+          ignore (exec_statement db ~params ?slot stmt))
         trig.Db.body);
   match fr with
   | Some fr ->
@@ -3113,30 +3406,34 @@ and run_trigger db trig ~new_row ~old_row cols =
       ~path:(Db.key trig.Db.target) ~rows_in:(-1) ~rows:(-1)
   | None -> ()
 
-and exec_insert db params table columns source =
-  let rows_of_source cols_expected =
+and compile_insert db table columns source =
+  (* the source's rows, each of [cols_expected] values *)
+  let source_rows cols_expected =
     match source with
     | Values rows ->
       let ctx = fresh_ctx db in
-      List.map
-        (fun exprs ->
-          if List.length exprs <> cols_expected then
-            error "INSERT expects %d values per row" cols_expected;
-          Array.of_list
-            (List.map
-               (fun e ->
-                 (compile_expr ctx [] e) { ctx; rows = []; params })
-               exprs))
-        rows
+      let rows =
+        List.map
+          (fun exprs ->
+            if List.length exprs <> cols_expected then
+              error "INSERT expects %d values per row" cols_expected;
+            List.map (compile_expr ctx []) exprs)
+          rows
+      in
+      fun params ->
+        let env = start_env ~params db in
+        List.map (fun fs -> Array.of_list (List.map (fun f -> f env) fs)) rows
     | Insert_query q ->
-      let rel = relation_of_query db params q in
-      List.iter
-        (fun row ->
-          if Array.length row <> cols_expected then
-            error "INSERT query returns %d columns, expected %d"
-              (Array.length row) cols_expected)
-        rel.rel_rows;
-      rel.rel_rows
+      let f = compile_statement_query db q in
+      fun params ->
+        let rel = f params in
+        List.iter
+          (fun row ->
+            if Array.length row <> cols_expected then
+              error "INSERT query returns %d columns, expected %d"
+                (Array.length row) cols_expected)
+          rel.rel_rows;
+        rel.rel_rows
   in
   match Db.find_object db table with
   | Some (Db.Obj_table tbl) ->
@@ -3146,15 +3443,17 @@ and exec_insert db params table columns source =
       | None -> List.mapi (fun i _ -> i) schema_cols
       | Some cols -> List.map (Schema.index tbl.Table.schema) cols
     in
-    let incoming = rows_of_source (List.length positions) in
+    let incoming = source_rows (List.length positions) in
     let n = Schema.arity tbl.Table.schema in
-    List.iter
-      (fun src ->
-        let row = Array.make n Value.Null in
-        List.iteri (fun i pos -> row.(pos) <- src.(i)) positions;
-        ignore (Db.logged_insert db tbl row))
-      incoming;
-    Affected (List.length incoming)
+    fun params ->
+      let incoming = incoming params in
+      List.iter
+        (fun src ->
+          let row = Array.make n Value.Null in
+          List.iteri (fun i pos -> row.(pos) <- src.(i)) positions;
+          ignore (Db.logged_insert db tbl row))
+        incoming;
+      Affected (List.length incoming)
   | Some (Db.Obj_view v) -> (
     match Db.trigger_for db ~target:table ~event:On_insert with
     | None -> error "cannot insert into view %s (no INSTEAD OF trigger)" table
@@ -3176,78 +3475,100 @@ and exec_insert db params table columns source =
               | None -> error "view %s has no column %s" table c)
             cols
       in
-      let incoming = rows_of_source (List.length positions) in
+      let incoming = source_rows (List.length positions) in
       let n = List.length view_cols in
-      List.iter
-        (fun src ->
-          let row = Array.make n Value.Null in
-          List.iteri (fun i pos -> row.(pos) <- src.(i)) positions;
-          run_trigger db trig ~new_row:(Some row) ~old_row:None view_cols)
-        incoming;
-      Affected (List.length incoming))
+      fun params ->
+        let incoming = incoming params in
+        List.iter
+          (fun src ->
+            let row = Array.make n Value.Null in
+            List.iteri (fun i pos -> row.(pos) <- src.(i)) positions;
+            run_trigger db trig ~new_row:(Some row) ~old_row:None view_cols)
+          incoming;
+        Affected (List.length incoming))
   | None -> error "no such table or view %s" table
 
-and affected_table_rows db params tbl where =
-  (* (rowid, row) pairs satisfying [where], using the pk/secondary index when
-     the predicate pins an indexed column to a row-independent value *)
+(* (rowid, row) pairs of [tbl] satisfying [where], using the pk/secondary
+   index when the predicate pins an indexed column to a row-independent
+   value *)
+and compile_affected_table_rows db tbl where =
   let ctx = fresh_ctx db in
   let scope = scope_of_cols ~alias:tbl.Table.name (Schema.names tbl.Table.schema) in
   let scopes = [ scope ] in
-  let candidates =
-    match where with
-    | None -> Table.to_rows tbl
-    | Some w -> (
+  match where with
+  | None -> fun _ -> Table.to_rows tbl
+  | Some w ->
+    let candidates =
       match index_pin tbl scope scopes w with
       | Some (idx, key_expr) ->
         let f = compile_expr ctx [] key_expr in
-        let v = f { ctx; rows = []; params } in
-        if Value.is_null v then []
-        else
-          List.filter_map
-            (fun rowid ->
-              Option.map (fun row -> (rowid, row)) (Table.find tbl rowid))
-            (Table.index_lookup idx v)
-      | None -> Table.to_rows tbl)
-  in
-  match where with
-  | None -> candidates
-  | Some w ->
+        fun env ->
+          let v = f env in
+          if Value.is_null v then []
+          else
+            List.filter_map
+              (fun rowid ->
+                Option.map (fun row -> (rowid, row)) (Table.find tbl rowid))
+              (Table.index_lookup idx v)
+      | None -> fun _ -> Table.to_rows tbl
+    in
     let f = compile_expr ctx scopes w in
-    List.filter
-      (fun (_, row) ->
-        bool3 (f { ctx; rows = [ row ]; params }) = Some true)
-      candidates
+    fun params ->
+      let env = start_env ~params db in
+      List.filter
+        (fun (_, row) -> bool3 (f { env with rows = [ row ] }) = Some true)
+        (candidates env)
 
-and exec_update db params table sets where =
+(* The rows of view [view] satisfying [where], evaluated as a real select so
+   the view pushdown applies: point updates and deletes through deep view
+   chains stay keyed lookups. *)
+and compile_affected_view_rows db view where =
+  let ctx = fresh_ctx db in
+  let sel =
+    {
+      distinct = false;
+      items = [ Star ];
+      from = Some (From_table (view, None));
+      where;
+      group_by = [];
+      having = None;
+    }
+  in
+  let _, f, _ = compile_select ctx [] sel in
+  fun params -> (f (start_env ~params db)).rel_rows
+
+and compile_update db table sets where =
   match Db.find_object db table with
   | Some (Db.Obj_table tbl) ->
     let ctx = fresh_ctx db in
     let scope =
       scope_of_cols ~alias:tbl.Table.name (Schema.names tbl.Table.schema)
     in
-    let affected = affected_table_rows db params tbl where in
+    let affected = compile_affected_table_rows db tbl where in
     let fsets =
       List.map
         (fun (col, e) ->
           (Schema.index tbl.Table.schema col, compile_expr ctx [ scope ] e))
         sets
     in
-    List.iter
-      (fun (rowid, old_row) ->
-        let new_row = Array.copy old_row in
-        List.iter
-          (fun (pos, f) ->
-            new_row.(pos) <- f { ctx; rows = [ old_row ]; params })
-          fsets;
-        ignore (Db.logged_update db tbl rowid new_row))
-      affected;
-    Affected (List.length affected)
+    fun params ->
+      let affected = affected params in
+      let env = start_env ~params db in
+      List.iter
+        (fun (rowid, old_row) ->
+          let new_row = Array.copy old_row in
+          List.iter
+            (fun (pos, f) -> new_row.(pos) <- f { env with rows = [ old_row ] })
+            fsets;
+          ignore (Db.logged_update db tbl rowid new_row))
+        affected;
+      Affected (List.length affected)
   | Some (Db.Obj_view v) -> (
     match Db.trigger_for db ~target:table ~event:On_update with
     | None -> error "cannot update view %s (no INSTEAD OF trigger)" table
     | Some trig ->
       let cols = v.Db.view_cols in
-      let affected = affected_view_rows db params table cols where in
+      let affected = compile_affected_view_rows db table where in
       let ctx = fresh_ctx db in
       let scope = scope_of_cols ~alias:table cols in
       let fsets =
@@ -3264,52 +3585,40 @@ and exec_update db params table sets where =
             (pos, compile_expr ctx [ scope ] e))
           sets
       in
-      List.iter
-        (fun old_row ->
-          let new_row = Array.copy old_row in
-          List.iter
-            (fun (pos, f) ->
-              new_row.(pos) <- f { ctx; rows = [ old_row ]; params })
-            fsets;
-          run_trigger db trig ~new_row:(Some new_row) ~old_row:(Some old_row)
-            cols)
-        affected;
-      Affected (List.length affected))
+      fun params ->
+        let affected = affected params in
+        let env = start_env ~params db in
+        List.iter
+          (fun old_row ->
+            let new_row = Array.copy old_row in
+            List.iter
+              (fun (pos, f) -> new_row.(pos) <- f { env with rows = [ old_row ] })
+              fsets;
+            run_trigger db trig ~new_row:(Some new_row) ~old_row:(Some old_row)
+              cols)
+          affected;
+        Affected (List.length affected))
   | None -> error "no such table or view %s" table
 
-and affected_view_rows db params view cols where =
-  (* evaluated as a real select so the view pushdown applies: point updates
-     and deletes through deep view chains stay keyed lookups *)
-  ignore cols;
-  let ctx = fresh_ctx db in
-  let sel =
-    {
-      distinct = false;
-      items = [ Star ];
-      from = Some (From_table (view, None));
-      where;
-      group_by = [];
-      having = None;
-    }
-  in
-  let _, f, _ = compile_select ctx [] sel in
-  (f { ctx; rows = []; params }).rel_rows
-
-and exec_delete db params table where =
+and compile_delete db table where =
   match Db.find_object db table with
   | Some (Db.Obj_table tbl) ->
-    let affected = affected_table_rows db params tbl where in
-    List.iter (fun (rowid, _) -> ignore (Db.logged_delete db tbl rowid)) affected;
-    Affected (List.length affected)
+    let affected = compile_affected_table_rows db tbl where in
+    fun params ->
+      let affected = affected params in
+      List.iter (fun (rowid, _) -> ignore (Db.logged_delete db tbl rowid)) affected;
+      Affected (List.length affected)
   | Some (Db.Obj_view v) -> (
     match Db.trigger_for db ~target:table ~event:On_delete with
     | None -> error "cannot delete from view %s (no INSTEAD OF trigger)" table
     | Some trig ->
       let cols = v.Db.view_cols in
-      let affected = affected_view_rows db params table cols where in
-      List.iter
-        (fun old_row ->
-          run_trigger db trig ~new_row:None ~old_row:(Some old_row) cols)
-        affected;
-      Affected (List.length affected))
+      let affected = compile_affected_view_rows db table where in
+      fun params ->
+        let affected = affected params in
+        List.iter
+          (fun old_row ->
+            run_trigger db trig ~new_row:None ~old_row:(Some old_row) cols)
+          affected;
+        Affected (List.length affected))
   | None -> error "no such table or view %s" table

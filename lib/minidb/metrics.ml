@@ -92,6 +92,10 @@ type t = {
           is built from *)
   mutable statements : int;  (** observed top-level statements *)
   mutable trigger_hops_total : int;
+  mutable plans_prepared : int;
+      (** delta-code plans prepared (a trigger statement, a view body for
+          full evaluation or for a key-pinned pushdown), counted whether or
+          not collection is on *)
   read_latency : int array;  (** bucket [i] counts reads in [2^i, 2^i+1) ns *)
   write_latency : int array;
   mutable read_ns_total : int;  (** sum of observed read latencies *)
@@ -133,6 +137,7 @@ let create () =
     schemas = Hashtbl.create 16;
     statements = 0;
     trigger_hops_total = 0;
+    plans_prepared = 0;
     read_latency = Array.make buckets 0;
     write_latency = Array.make buckets 0;
     read_ns_total = 0;
@@ -182,6 +187,7 @@ let reset t =
   Hashtbl.reset t.schemas;
   t.statements <- 0;
   t.trigger_hops_total <- 0;
+  t.plans_prepared <- 0;
   Array.fill t.read_latency 0 buckets 0;
   Array.fill t.write_latency 0 buckets 0;
   t.read_ns_total <- 0;

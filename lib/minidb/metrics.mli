@@ -55,6 +55,7 @@ type t = {
   schemas : (string, object_stats) Hashtbl.t;
   mutable statements : int;
   mutable trigger_hops_total : int;
+  mutable plans_prepared : int;
   read_latency : int array;
   write_latency : int array;
   mutable read_ns_total : int;

@@ -50,7 +50,7 @@ let configure api off =
   I.set_batch api (on Batch);
   I.set_cache api false;
   I.set_cache api (on Cache);
-  (I.database api).Db.optimizations <- on Fast_paths
+  Db.set_optimizations (I.database api) (on Fast_paths)
 
 (* --- the battery ---------------------------------------------------------- *)
 

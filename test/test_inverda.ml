@@ -677,6 +677,81 @@ let test_rejected_columns () =
     ~expected:smo_error ~good:"CREATE SCHEMA VERSION v3 FROM v2 WITH ADD COLUMN b AS 1 INTO t;";
   Alcotest.(check (list string)) "versions" [ "v0"; "v1"; "v2"; "v3" ] (I.versions t)
 
+(* --- prepared plans follow every catalog change -------------------------------- *)
+
+(* Seeded paper-mix traffic over the three versions, then a full read of
+   every version view: what the reads answered. *)
+let version_traffic t seed =
+  let module W = Scenarios.Workload in
+  ignore
+    (W.replay_profile
+       (W.make_runner ~rng:(Scenarios.Rng.create ~seed ()) (I.database t))
+       ~shares:W.[ (V_tasky, 0.3); (V_tasky2, 0.4); (V_do, 0.3) ]
+       ~mix:W.paper_mix ~ops:60);
+  List.map
+    (fun view ->
+      sorted
+        (List.map (List.map Value.to_string)
+           (I.query_rows t ("SELECT * FROM " ^ view))))
+    [ "TasKy.Task"; "Do!.Todo"; "TasKy2.Task"; "TasKy2.Author" ]
+
+(* [reach] takes an instance that ran traffic, and so prepared plans, to a
+   state. A twin runs the same history with the planner fast paths off until
+   the state is reached, so it brings no plan into it. Every version view
+   must then answer the same writes and reads on both. *)
+let check_plans_after label reach =
+  let build fast =
+    let t = Scenarios.Tasky.setup_full ~tasks:20 () in
+    Minidb.Database.set_optimizations (I.database t) fast;
+    ignore (version_traffic t 1);
+    reach t;
+    Minidb.Database.set_optimizations (I.database t) true;
+    t
+  in
+  let t = build true and twin = build false in
+  Alcotest.(check (list (list (list string))))
+    (label ^ ": answers") (version_traffic twin 2) (version_traffic t 2);
+  Alcotest.(check string) (label ^ ": dump") (I.dump twin) (I.dump t)
+
+let test_plans_after_materialize () =
+  check_plans_after "MATERIALIZE TasKy2 and back" (fun t ->
+      I.materialize t [ "TasKy2" ];
+      I.materialize t [ "TasKy" ])
+
+let test_plans_after_rejected_evolution () =
+  let bad =
+    "CREATE SCHEMA VERSION TasKy3 FROM TasKy2 WITH ADD COLUMN due AS 0 INTO \
+     Task;"
+  in
+  (* the fault hits half-way through the evolution, counted on a twin *)
+  let statements =
+    let twin = Scenarios.Tasky.setup_full ~tasks:20 () in
+    let executed () = (I.database twin).Minidb.Database.statements_executed in
+    let before = executed () in
+    I.evolve twin bad;
+    executed () - before
+  in
+  check_plans_after "a rejected CREATE SCHEMA VERSION" (fun t ->
+      Minidb.Database.set_failpoint (I.database t) (statements / 2);
+      match I.evolve t bad with
+      | () -> Alcotest.fail "the evolution was not rejected"
+      | exception Minidb.Database.Injected_fault _ ->
+        Minidb.Database.clear_failpoint (I.database t))
+
+let test_plans_after_rolled_back_view () =
+  check_plans_after "a generated view re-created and rolled back" (fun t ->
+      let exec sql = ignore (I.exec_sql t sql) in
+      exec "BEGIN";
+      exec "DROP VIEW tv!1!Task";
+      exec
+        "CREATE VIEW tv!1!Task AS SELECT p, author, task, 1 AS prio FROM \
+         d!1!Task";
+      Alcotest.(check (list (list string))) "the re-created view answers"
+        [ [ "1" ] ]
+        (List.map (List.map Value.to_string)
+           (I.query_rows t "SELECT DISTINCT prio FROM TasKy.Task"));
+      exec "ROLLBACK")
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "inverda"
@@ -723,6 +798,12 @@ let () =
           tc "lens law (VRF001)" test_rejected_law;
           tc "duplicate or key column" test_rejected_columns;
           tc "key-only table evolves" test_key_only_table;
+        ] );
+      ( "prepared plans",
+        [
+          tc "after MATERIALIZE and back" test_plans_after_materialize;
+          tc "after a rejected evolution" test_plans_after_rejected_evolution;
+          tc "after a rolled-back view" test_plans_after_rolled_back_view;
         ] );
       ( "extensions",
         [

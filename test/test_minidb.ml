@@ -529,9 +529,9 @@ let chain_db depth =
 let test_view_pushdown_equivalence () =
   let db = chain_db 8 in
   let with_opts flag sql =
-    db.Database.optimizations <- flag;
+    Database.set_optimizations db flag;
     let r = Engine.query_rows db sql in
-    db.Database.optimizations <- true;
+    Database.set_optimizations db true;
     r
   in
   List.iter
@@ -566,9 +566,9 @@ let test_index_nl_join_equivalence () =
   ignore (Engine.exec db "CREATE TABLE small (p INTEGER PRIMARY KEY, tag TEXT)");
   ignore (Engine.exec db "INSERT INTO small (p, tag) VALUES (5, 'x'), (7, 'y')");
   let q = "SELECT s.tag, b.a FROM small s JOIN base b ON b.p = s.p" in
-  db.Database.optimizations <- false;
+  Database.set_optimizations db false;
   let slow = List.sort compare (Engine.query_rows db q) in
-  db.Database.optimizations <- true;
+  Database.set_optimizations db true;
   let fast = List.sort compare (Engine.query_rows db q) in
   Alcotest.(check (list (list value))) "join equal" slow fast
 
@@ -609,6 +609,59 @@ let test_view_cycle () =
             Alcotest.(check string) sql "view x1 depends on itself" msg
           | _ -> Alcotest.failf "%s: a read through a view cycle returned" sql)
         [ "SELECT * FROM x1"; "SELECT * FROM x1 WHERE p = 1" ])
+    [ true; false ]
+
+(* A plan prepared once serves many statements, so it may keep nothing one
+   run builds. (a) A view whose body decorrelates a NOT EXISTS on a column
+   without an index hashes the inner table per statement: after a write to
+   the inner table, a read — in full and key-pinned — sees it. (b) A
+   multi-row INSERT ... SELECT through a view fires its prepared trigger once
+   per row, and each firing sees the writes of the firings before it (its
+   EXISTS reads no column of its select, so it runs once per firing). Both
+   executors, view cache off. *)
+let test_prepared_plans_keep_no_run_state () =
+  List.iter
+    (fun batch ->
+      let db = Engine.create () in
+      Database.set_batch db batch;
+      Database.set_view_cache db false;
+      ignore
+        (Engine.exec_script db
+           {|
+        CREATE TABLE owner (p INTEGER PRIMARY KEY, k INTEGER);
+        CREATE TABLE claim (p INTEGER PRIMARY KEY, k INTEGER);
+        INSERT INTO owner (p, k) VALUES (1, 10), (2, 20), (3, 30);
+        INSERT INTO claim (p, k) VALUES (1, 20);
+        CREATE VIEW unclaimed AS
+          SELECT p, k FROM owner o
+          WHERE NOT EXISTS (SELECT * FROM claim c WHERE c.k = o.k);
+      |});
+      let label what = Fmt.str "%s (batch %b)" what batch in
+      let read () = Engine.query_rows db "SELECT * FROM unclaimed" in
+      let pinned () = Engine.query_rows db "SELECT k FROM unclaimed WHERE p = 3" in
+      for _ = 1 to 2 do
+        check_rows (label "full read") [ [ Int 1; Int 10 ]; [ Int 3; Int 30 ] ] (read ());
+        check_rows (label "pinned read") [ [ Int 30 ] ] (pinned ())
+      done;
+      ignore (Engine.exec db "INSERT INTO claim (p, k) VALUES (2, 30)");
+      check_rows (label "full read after a write") [ [ Int 1; Int 10 ] ] (read ());
+      check_rows (label "pinned read after a write") [] (pinned ());
+      ignore
+        (Engine.exec_script db
+           {|
+        CREATE TABLE src (p INTEGER PRIMARY KEY, g INTEGER);
+        CREATE TABLE dst (p INTEGER PRIMARY KEY, g INTEGER);
+        CREATE VIEW dv AS SELECT p, g FROM dst;
+        CREATE TRIGGER dv_ins INSTEAD OF INSERT ON dv FOR EACH ROW BEGIN
+          INSERT INTO dst (p, g) SELECT s.p, s.g FROM src s
+          WHERE s.p = NEW.p AND NOT EXISTS (SELECT * FROM dst WHERE g = NEW.g);
+        END;
+        INSERT INTO src (p, g) VALUES (1, 7), (2, 8), (3, 7), (4, 8), (5, 9);
+      |});
+      ignore (Engine.exec db "INSERT INTO dv (p, g) SELECT p, g FROM src ORDER BY p");
+      check_rows (label "one row per group, the first")
+        [ [ Int 1; Int 7 ]; [ Int 2; Int 8 ]; [ Int 5; Int 9 ] ]
+        (Engine.query_rows db "SELECT * FROM dst"))
     [ true; false ]
 
 (* A bare integer in ORDER BY or GROUP BY is a 1-based position in the
@@ -1048,6 +1101,8 @@ let () =
           tc "index nested-loop join" test_index_nl_join_equivalence;
           tc "trigger depth guard" test_trigger_depth_guard;
           tc "view cycle refused" test_view_cycle;
+          tc "prepared plans keep no run state"
+            test_prepared_plans_keep_no_run_state;
           tc "positional ORDER BY and GROUP BY" test_positional_keys;
           tc "three-valued NOT IN" test_three_valued_not_in;
           tc "order by NULLs + limit" test_order_by_nulls_and_limit;

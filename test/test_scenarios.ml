@@ -373,7 +373,7 @@ let qcheck_optimizer_equivalence =
       let build optimizations =
         let t = Scenarios.Tasky.setup_full ~tasks:20 () in
         if mat = 1 then I.materialize t [ "TasKy2" ];
-        (I.database t).Minidb.Database.optimizations <- optimizations;
+        Minidb.Database.set_optimizations (I.database t) optimizations;
         let rng = Scenarios.Rng.create ~seed:(abs seed) () in
         let db = I.database t in
         for i = 1 to 20 do
@@ -497,6 +497,51 @@ let test_tasky2_writes_bounded () =
         true (l <= s))
     small large
 
+(* Delta code is prepared once per catalog state. At 5,000 tasks, under the
+   initial materialization, the second TasKy2 insert, TasKy2 update, Do!
+   update and TasKy2 delete prepare no plan: every trigger statement and view
+   body they run was prepared by the first. The first write after a CREATE
+   SCHEMA VERSION, which reinstalls all delta code, prepares again. *)
+let test_writes_reuse_prepared_plans () =
+  let t = Scenarios.Tasky.setup_full ~tasks:5_000 () in
+  let db = I.database t in
+  let m = db.Minidb.Database.metrics in
+  let prepared sql =
+    let before = m.Minidb.Metrics.plans_prepared in
+    ignore (Minidb.Engine.exec db sql);
+    m.Minidb.Metrics.plans_prepared - before
+  in
+  let author = I.query_int t "SELECT MIN(p) FROM TasKy2.Author" in
+  let key view i =
+    I.query_int t (Fmt.str "SELECT MIN(p) FROM %s WHERE p > %d" view (100 * i))
+  in
+  let insert i =
+    Fmt.str "INSERT INTO TasKy2.Task (task, prio, author) VALUES ('new-%d', 2, %d)"
+      i author
+  in
+  List.iter
+    (fun (name, sql) ->
+      ignore (prepared (sql 1));
+      Alcotest.(check int) (name ^ ": the second prepares no plan") 0
+        (prepared (sql 2)))
+    [
+      ("TasKy2 insert", insert);
+      ( "TasKy2 update",
+        fun i ->
+          Fmt.str "UPDATE TasKy2.Task SET task = 'upd-%d' WHERE p = %d" i
+            (key "TasKy2.Task" i) );
+      ( "Do! update",
+        fun i ->
+          Fmt.str "UPDATE Do!.Todo SET task = 'upd-%d' WHERE p = %d" i
+            (key "Do!.Todo" i) );
+      ( "TasKy2 delete",
+        fun i -> Fmt.str "DELETE FROM TasKy2.Task WHERE p = %d" (key "TasKy2.Task" i) );
+    ];
+  I.evolve t
+    "CREATE SCHEMA VERSION TasKy3 FROM TasKy2 WITH ADD COLUMN due AS 0 INTO Task;";
+  Alcotest.(check bool) "the first write after an evolution prepares plans" true
+    (prepared (insert 3) > 0)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   let slow name f = Alcotest.test_case name `Slow f in
@@ -523,6 +568,9 @@ let () =
         ] );
       ("two-smo", [ slow "all 36 chains" test_two_smo_chains ]);
       ( "writes",
-        [ slow "TasKy2 writes bounded in the table size" test_tasky2_writes_bounded ] );
+        [
+          slow "TasKy2 writes bounded in the table size" test_tasky2_writes_bounded;
+          tc "second writes prepare no plan" test_writes_reuse_prepared_plans;
+        ] );
       ("properties", property_tests);
     ]

@@ -389,7 +389,7 @@ let analyze_queries =
     "SELECT author, COUNT(*) FROM TasKy2.Task GROUP BY author";
     "SELECT task, prio, author FROM TasKy2.Task WHERE p = 3";
     (* expression subqueries: a decorrelated EXISTS reading a view once, and
-       an IN subquery evaluated once per outer row *)
+       an IN subquery that reads no outer column, evaluated once *)
     "SELECT name FROM TasKy2.Author a WHERE EXISTS (SELECT * FROM TasKy2.Task \
      t WHERE t.author = a.p)";
     "SELECT name FROM TasKy2.Author a WHERE a.p IN (SELECT author FROM \
@@ -482,7 +482,7 @@ let test_explain_first_row () =
     ];
   Alcotest.(check (list string)) "no LIMIT: no first-row node" []
     (marked "SELECT name FROM TasKy2.Author WHERE p = 13");
-  (I.database t).Minidb.Database.optimizations <- false;
+  Minidb.Database.set_optimizations (I.database t) false;
   Alcotest.(check (list string)) "fast paths off: no first-row node" []
     (marked "SELECT name FROM TasKy2.Author WHERE p = 13 LIMIT 1")
 
@@ -590,7 +590,7 @@ let rec plan_scans (p : E.plan) =
    bodies, the plan compiles them, and the two share no code. *)
 let check_memos_match_plans label t =
   let db = I.database t in
-  db.Db.optimizations <- false;
+  Db.set_optimizations db false;
   List.iter
     (function
       | Db.Obj_view v ->
@@ -607,7 +607,7 @@ let check_memos_match_plans label t =
              (List.map (fun tbl -> Db.key tbl.Minidb.Table.name) memo))
       | Db.Obj_table _ -> ())
     (Db.list_objects db);
-  db.Db.optimizations <- true
+  Db.set_optimizations db true
 
 let test_memos_match_plans () =
   let t = Scenarios.Tasky.setup_full ~tasks:5 () in
@@ -625,6 +625,100 @@ let test_memos_match_plans () =
       I.materialize t [ version ];
       check_memos_match_plans ("wikimedia at " ^ version) t)
     [ names.(0); names.(4); names.(7) ]
+
+(* --- prepared plans --------------------------------------------------------------- *)
+
+(* An EXISTS that reads no column of its enclosing select runs once per
+   statement, not once per outer row: no node of its plan ran twice (EXPLAIN
+   ANALYZE prints [runs=] from two runs on). Its answer is the same with
+   either executor and with the planner fast paths on or off. *)
+let test_uncorrelated_subquery_runs_once () =
+  let t = Scenarios.Tasky.setup_full ~tasks:12 () in
+  let db = I.database t in
+  let author = I.query_int t "SELECT MIN(author) FROM TasKy2.Task" in
+  List.iter
+    (fun (author, task) ->
+      let sql =
+        Fmt.str
+          "SELECT name FROM TasKy2.Author a WHERE EXISTS (SELECT * FROM \
+           TasKy2.Task WHERE author = %d AND p <> %d)"
+          author task
+      in
+      let out = I.explain_analyze t sql in
+      Alcotest.(check bool) (sql ^ ": the subquery ran") true
+        (contains out "view tasky2.task via pushdown  first-row  rows=");
+      Alcotest.(check bool) (sql ^ ": no node ran twice") false
+        (contains out "runs=");
+      let answer (batch, fast) =
+        I.set_batch t batch;
+        Db.set_optimizations db fast;
+        List.sort compare (I.query_rows t sql)
+      in
+      let reference = answer (true, true) in
+      List.iter
+        (fun config ->
+          Alcotest.(check bool) (sql ^ ": same answer") true
+            (answer config = reference))
+        [ (false, true); (true, false); (false, false); (true, true) ])
+    [ (13, 1); (author, 1) ]
+
+(* A plan is dropped with what it was compiled against: after the fast
+   paths are toggled, an index is added, or a trigger is re-created inside a
+   rolled-back transaction, a statement runs the plan EXPLAIN prints for the
+   state it meets — the one an instance that never ran it compiles. *)
+let test_plans_follow_the_catalog () =
+  let t = I.create () in
+  let exec t sql = ignore (I.exec_sql t sql) in
+  let schema =
+    ref
+      [
+        "CREATE TABLE base (p INTEGER PRIMARY KEY, a INTEGER, b INTEGER)";
+        "CREATE VIEW v AS SELECT p, a, b FROM base";
+        "CREATE TRIGGER v_ins INSTEAD OF INSERT ON v FOR EACH ROW BEGIN \
+         INSERT INTO base (p, a, b) VALUES (NEW.p, NEW.a, NEW.b) END";
+      ]
+  in
+  List.iter (exec t) !schema;
+  exec t "INSERT INTO v (p, a, b) VALUES (1, 5, 50)";
+  exec t "INSERT INTO v (p, a, b) VALUES (2, 6, 60)";
+  let read = "SELECT b FROM v WHERE a = 5" in
+  let check label =
+    let fresh = I.create () in
+    List.iter (exec fresh) !schema;
+    Db.set_optimizations (I.database fresh) (I.database t).Db.optimizations;
+    check_plan_is_what_ran t read label;
+    Alcotest.(check string) (label ^ ": the plan a fresh instance compiles")
+      (I.explain fresh read) (I.explain t read);
+    Alcotest.(check (list (list string))) (label ^ ": answer") [ [ "50" ] ]
+      (List.map (List.map Minidb.Value.to_string) (I.query_rows t read))
+  in
+  check "first run";
+  check "prepared";
+  Db.set_optimizations (I.database t) false;
+  check "fast paths off";
+  Db.set_optimizations (I.database t) true;
+  check "fast paths on again";
+  let index = "CREATE INDEX base_a ON base (a)" in
+  exec t index;
+  schema := !schema @ [ index ];
+  check "after an index";
+  Alcotest.(check bool) "the index serves the read" true
+    (contains (I.explain t read) "scan base via index");
+  let b_of p = I.query_int t (Fmt.str "SELECT b FROM base WHERE p = %d" p) in
+  exec t "INSERT INTO v (p, a, b) VALUES (3, 7, 70)";
+  exec t "BEGIN";
+  exec t "DROP TRIGGER v_ins";
+  exec t
+    "CREATE TRIGGER v_ins INSTEAD OF INSERT ON v FOR EACH ROW BEGIN INSERT \
+     INTO base (p, a, b) VALUES (NEW.p, NEW.a, NEW.b + 1000) END";
+  exec t "INSERT INTO v (p, a, b) VALUES (4, 8, 80)";
+  Alcotest.(check int) "the re-created trigger ran" 1080 (b_of 4);
+  exec t "ROLLBACK";
+  exec t "INSERT INTO v (p, a, b) VALUES (5, 9, 90)";
+  Alcotest.(check int) "the restored trigger ran" 90 (b_of 5);
+  Alcotest.(check int) "the rolled-back row is gone" 0
+    (I.query_int t "SELECT COUNT(*) FROM base WHERE p = 4");
+  check "after a rolled-back trigger"
 
 (* --- suite ---------------------------------------------------------------------- *)
 
@@ -677,5 +771,11 @@ let () =
           tc "first-row nodes marked" test_explain_first_row;
           tc "physical tables of the demo views" test_explain_physical_tables;
           tc "view memos read what plans scan" test_memos_match_plans;
+        ] );
+      ( "prepared plans",
+        [
+          tc "an uncorrelated subquery runs once"
+            test_uncorrelated_subquery_runs_once;
+          tc "plans follow the catalog" test_plans_follow_the_catalog;
         ] );
     ]
