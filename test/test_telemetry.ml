@@ -772,7 +772,7 @@ let () =
           tc "physical tables of the demo views" test_explain_physical_tables;
           tc "view memos read what plans scan" test_memos_match_plans;
         ] );
-      ( "prepared plans",
+      ( "plans",
         [
           tc "an uncorrelated subquery runs once"
             test_uncorrelated_subquery_runs_once;
