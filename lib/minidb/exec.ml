@@ -46,9 +46,10 @@ type plan = {
 
 (* --- compile context and run environment ----------------------------------- *)
 
-(** What compiling needs: the catalog, the plan collector and the
-    view-expansion stack. A compiled closure keeps nothing of it but [db],
-    so one closure can serve many statements ({!Db.prepared}). *)
+(** What compiling needs: the catalog, the plan collector, the
+    view-expansion stack and the count of errors put off until run time. A
+    compiled closure keeps nothing of it but [db], so one closure can serve
+    many statements ({!Db.prepared}). *)
 type compile_ctx = {
   db : Db.t;
   mutable subplans : plan list;
@@ -58,6 +59,9 @@ type compile_ctx = {
   mutable expanding : string list;
       (** views whose bodies are being compiled right now, innermost first
           (see {!expand_view}) *)
+  mutable deferred : int;
+      (** compile errors {!compile_aggregate} has put off until a group
+          runs, so far (see {!compile_subquery}) *)
 }
 
 (* What one run of a subquery built, kept for the rest of the statement run
@@ -137,7 +141,7 @@ let drain (it : rows_iter) env =
          false));
   List.rev !acc
 
-let fresh_ctx db = { db; subplans = []; expanding = [] }
+let fresh_ctx db = { db; subplans = []; expanding = []; deferred = 0 }
 
 let no_params : (string, Value.t) Hashtbl.t = Hashtbl.create 1
 
@@ -1097,10 +1101,10 @@ and compile_exists ctx scopes q negated =
 
 (* An expression subquery's rows, compiled by [compile] against [scopes],
    its plan handed to the enclosing operator. One that reads no column of an
-   enclosing scope (it compiles without them) and calls no function but the
-   pure built-ins has the same rows for every row of a statement run (and
-   pin): with the fast paths on, it runs once, and its rows are kept in the
-   run's memos, never in the closure. *)
+   enclosing scope (it compiles without them, putting off no error) and
+   calls no function but the pure built-ins has the same rows for every row
+   of a statement run (and pin): with the fast paths on, it runs once, and
+   its rows are kept in the run's memos, never in the closure. *)
 and compile_subquery ctx scopes q compile =
   let closed =
     if
@@ -1112,10 +1116,10 @@ and compile_subquery ctx scopes q compile =
         not calls)
     then None
     else
-      let saved = ctx.subplans in
+      let saved = ctx.subplans and deferred = ctx.deferred in
       match compile [] with
-      | r -> Some r
-      | exception Exec_error _ ->
+      | r when ctx.deferred = deferred -> Some r
+      | _ | (exception Exec_error _) ->
         ctx.subplans <- saved;
         None
   in
@@ -2611,14 +2615,14 @@ and index_fast_path ctx ~first sel scope scopes =
   | _ -> None
 
 (* Key-filter pushdown into views: a select over a single *view* whose WHERE
-   pins a view column to a row-independent, column-free expression is
-   rewritten by pushing the equality into every branch of the view body.
-   Applied recursively through view chains, this turns point lookups along
-   InVerDa's generated delta code into O(depth) instead of O(depth x N).
-   A key that is a constant or a parameter is the pin of a body prepared
-   once per (view, pinned column, first-row mode) in the view's memo; any
-   other key is spliced into a body compiled for this statement. Returns
-   None when the view shape does not allow it. *)
+   pins a view column to a row-independent, column-free expression that
+   calls no function but the pure built-ins is rewritten by pushing the
+   equality into every branch of the view body. Applied recursively through
+   view chains, this turns point lookups along InVerDa's generated delta
+   code into O(depth) instead of O(depth x N). The body is prepared once per
+   (view, pinned column, first-row mode) in the view's memo with the pin as
+   its key; each run evaluates the key once and hands it over as the pin.
+   Returns None when the view shape does not allow it. *)
 and view_pushdown ctx ~first sel =
   if not ctx.db.Db.optimizations then None
   else
@@ -2628,7 +2632,18 @@ and view_pushdown ctx ~first sel =
     match Db.find_view_opt ctx.db vname with
     | None -> None
     | Some view -> (
-      match List.find_map pin_of (conjuncts w) with
+      (* evaluated once, a key of pure built-ins is what every row reads *)
+      let pure_pin c =
+        match pin_of c with
+        | Some (_, _, key) as pin ->
+          let _, _, calls =
+            query_reads ctx.db
+              (select_query (simple_select [ Sel_expr (key, None) ]))
+          in
+          if calls then None else pin
+        | None -> None
+      in
+      match List.find_map pure_pin (conjuncts w) with
       | None -> None
       | Some (_, col, key_expr) -> (
         let lcol = String.lowercase_ascii col in
@@ -2640,20 +2655,10 @@ and view_pushdown ctx ~first sel =
         | None -> None
         | Some pos -> (
           let k = Db.key vname in
-          let pushed =
-            match key_expr with
-            | Const _ | Param _ ->
-              Option.map
-                (fun (p, body) -> (p, body, compile_expr ctx [] key_expr))
-                (prepared_pushdown ctx k view pos first)
-            | _ ->
-              Option.map
-                (fun (p, body) -> (p, body, fun env -> env.args.pin))
-                (compile_pushdown ctx k view pos first key_expr)
-          in
-          match pushed with
+          match prepared_pushdown ctx k view pos first with
           | None -> None
-          | Some (p, body, fkey) -> (
+          | Some (p, body) -> (
+            let fkey = compile_expr ctx [] key_expr in
             let node =
               { kind = "view"; detail = k; path = "pushdown"; inputs = [ p ];
                 first_row = first }
@@ -2694,11 +2699,12 @@ and view_pushdown ctx ~first sel =
               in
               Some (node, drain first_produce, Some first_produce))))))
 
-(* The body of view [k] (record [view]) with [key] pushed into every branch
-   as the value of the column at [pos], compiled in first-row mode when
-   [first] (handed the consumer's test: its first row is one the consumer
-   keeps). [None] when the body's shape does not allow it. *)
-and compile_pushdown ctx k (view : Db.view) pos first key =
+(* The body of view [k] (record [view]) with the pin pushed into every
+   branch as the value of the column at [pos], compiled in first-row mode
+   when [first] (handed the consumer's test: its first row is one the
+   consumer keeps). [None] when the body's shape does not allow it. *)
+and compile_pushdown ctx k (view : Db.view) pos first =
+  let key = Param pin_param in
   let rec rewrite_set_op = function
     | Select s -> (
       if s.group_by <> [] || s.having <> None then None
@@ -2763,8 +2769,7 @@ and compile_pushdown ctx k (view : Db.view) pos first key =
                let p, fq = compile_query ctx [] q in
                (p, All fq)))
 
-(* {!compile_pushdown} with the pin as the key, prepared in the view's memo
-   on first use. *)
+(* {!compile_pushdown}, prepared in the view's memo on first use. *)
 and prepared_pushdown ctx k view pos first =
   let vm = view_memo ctx.db k view in
   match
@@ -2777,7 +2782,7 @@ and prepared_pushdown ctx k view pos first =
   with
   | Some pushed -> Some pushed
   | None -> (
-    match compile_pushdown ctx k view pos first (Param pin_param) with
+    match compile_pushdown ctx k view pos first with
     | None -> None
     | Some (p, body) as pushed ->
       vm.Db.vm_plans <- Pushdown (pos, first, p, body) :: vm.Db.vm_plans;
@@ -2814,7 +2819,9 @@ and compile_aggregate ctx scopes sel cols produce filter =
   let compile_part e =
     match compile_expr ctx scopes e with
     | f -> f
-    | exception (Exec_error _ as exn) -> fun _ -> raise exn
+    | exception (Exec_error _ as exn) ->
+      ctx.deferred <- ctx.deferred + 1;
+      fun _ -> raise exn
   in
   let rec compile_aggregate_expr e : env -> Value.t array list -> Value.t =
     match e with
@@ -2856,7 +2863,9 @@ and compile_aggregate ctx scopes sel cols produce filter =
             in
             Value.Real (sum /. float_of_int (List.length vals)))
       | _ ->
-        let replaces c = if name = "MIN" then c < 0 else c > 0 in
+        let replaces =
+          if name = "MIN" then fun c -> c < 0 else fun c -> c > 0
+        in
         fun env group_rows ->
           (match vals env group_rows with
           | [] -> Value.Null
@@ -3344,9 +3353,9 @@ and compile_statement db stmt : (string, Value.t) Hashtbl.t -> result =
       db.Db.in_txn <- false;
       Done
 
-(* The trigger's plan, with the fast paths on: the slots its statements are
-   prepared in and the parameter names its rows bind, kept in the trigger's
-   memo. *)
+(* The trigger's plan: the slots its statements are prepared in (with the
+   fast paths on, see {!exec_statement}) and the parameter names its rows
+   bind, kept in the trigger's memo. *)
 and trigger_plan db trig cols =
   let k = Db.key trig.Db.trig_name in
   match Hashtbl.find_opt db.Db.trigger_memos k with
@@ -3371,9 +3380,7 @@ and run_trigger db trig ~new_row ~old_row cols =
     error "trigger cascade exceeded depth %d (cycle in delta code?)"
       max_trigger_depth
   end;
-  let plan =
-    if db.Db.optimizations then Some (trigger_plan db trig cols) else None
-  in
+  let plan = trigger_plan db trig cols in
   let params = Hashtbl.create 16 in
   let bind names row =
     match row with
@@ -3381,22 +3388,15 @@ and run_trigger db trig ~new_row ~old_row cols =
     | Some values ->
       Array.iteri (fun i name -> Hashtbl.replace params name values.(i)) names
   in
-  (match plan with
-  | Some plan ->
-    bind plan.new_params new_row;
-    bind plan.old_params old_row
-  | None ->
-    bind (param_names "NEW" cols) new_row;
-    bind (param_names "OLD" cols) old_row);
+  bind plan.new_params new_row;
+  bind plan.old_params old_row;
   let m = db.Db.metrics in
   let fr = if Metrics.child_active m then Some (Metrics.open_span m) else None in
   Fun.protect
     ~finally:(fun () -> db.Db.trigger_depth <- db.Db.trigger_depth - 1)
     (fun () ->
       List.iteri
-        (fun i stmt ->
-          let slot = Option.map (fun plan -> (plan, i)) plan in
-          ignore (exec_statement db ~params ?slot stmt))
+        (fun i stmt -> ignore (exec_statement db ~params ~slot:(plan, i) stmt))
         trig.Db.body);
   match fr with
   | Some fr ->

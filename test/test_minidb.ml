@@ -545,6 +545,36 @@ let test_view_pushdown_equivalence () =
       "SELECT a FROM v3 WHERE p = 1";
     ]
 
+(* A pushed key may be any column-free expression of pure built-ins: the
+   prepared body runs with the key evaluated once and answers as the
+   reference does. A key that calls any other function is not pushed. *)
+let test_computed_pushdown_keys () =
+  let db = chain_db 8 in
+  Database.register_function db "twice" (fun _ -> function
+    | [ Value.Int i ] -> Value.Int (2 * i)
+    | _ -> Value.Null);
+  let plan sql =
+    match Sql_parser.statement_of_string sql with
+    | Sql_ast.Query q -> Exec.plan db q
+    | _ -> Alcotest.fail "not a query"
+  in
+  let rec pushed (p : Exec.plan) =
+    p.Exec.path = "pushdown" || List.exists pushed p.Exec.inputs
+  in
+  List.iter
+    (fun (sql, push) ->
+      Alcotest.(check bool) (sql ^ ": pushed") push (pushed (plan sql));
+      check_rows sql [ [ Value.Int 92 ] ] (Engine.query_rows db sql);
+      Database.set_optimizations db false;
+      check_rows (sql ^ ": reference") [ [ Value.Int 92 ] ] (Engine.query_rows db sql);
+      Database.set_optimizations db true)
+    [
+      ("SELECT a FROM v8 WHERE p = 40 + 2", true);
+      ("SELECT a FROM v8 WHERE p = ABS(0 - 42)", true);
+      ("SELECT a FROM v8 WHERE p = COALESCE(NULL, 42)", true);
+      ("SELECT a FROM v8 WHERE p = twice(21)", false);
+    ]
+
 let test_pushdown_through_union_view () =
   let db = Engine.create () in
   ignore
@@ -663,6 +693,39 @@ let test_prepared_plans_keep_no_run_state () =
         [ [ Int 1; Int 7 ]; [ Int 2; Int 8 ]; [ Int 5; Int 9 ] ]
         (Engine.query_rows db "SELECT * FROM dst"))
     [ true; false ]
+
+(* A subquery that reads an enclosing row only in an aggregating select's
+   items or HAVING is correlated, though compiling it without the enclosing
+   scopes puts its errors off until a group runs: each outer row gets its
+   own answer, with the fast paths on and off, on both executors. *)
+let test_correlated_aggregate_subqueries () =
+  List.iter
+    (fun (batch, fast) ->
+      let db = Engine.create () in
+      Database.set_batch db batch;
+      Database.set_optimizations db fast;
+      ignore
+        (Engine.exec_script db
+           {|
+        CREATE TABLE a (p INTEGER PRIMARY KEY, name TEXT);
+        CREATE TABLE t (p INTEGER PRIMARY KEY, g INTEGER);
+        INSERT INTO a (p, name) VALUES (1, 'x'), (2, 'y');
+        INSERT INTO t (p, g) VALUES (1, 1), (2, 3), (3, 3);
+      |});
+      let label what = Fmt.str "%s (batch %b, fast paths %b)" what batch fast in
+      check_rows (label "correlated HAVING") [ [ Value.Text "x" ] ]
+        (Engine.query_rows db
+           "SELECT name FROM a WHERE EXISTS \
+            (SELECT t.g FROM t GROUP BY t.g HAVING t.g = a.p)");
+      check_rows (label "correlated grouped item")
+        [ [ Value.Text "x"; Value.Int 1 ]; [ Value.Text "y"; Value.Int 2 ] ]
+        (Engine.query_rows db
+           "SELECT name, (SELECT MAX(t.p) * a.p FROM t GROUP BY t.g \
+            HAVING t.g = 1) FROM a");
+      check_rows (label "correlated ungrouped item")
+        [ [ Value.Text "x"; Value.Int 4 ]; [ Value.Text "y"; Value.Int 5 ] ]
+        (Engine.query_rows db "SELECT name, (SELECT COUNT(*) + a.p FROM t) FROM a"))
+    [ (true, true); (true, false); (false, true); (false, false) ]
 
 (* A bare integer in ORDER BY or GROUP BY is a 1-based position in the
    select list, as in PostgreSQL, with either executor. *)
@@ -1097,12 +1160,15 @@ let () =
       ( "planner",
         [
           tc "view pushdown equivalence" test_view_pushdown_equivalence;
+          tc "computed pushdown keys" test_computed_pushdown_keys;
           tc "pushdown through union" test_pushdown_through_union_view;
           tc "index nested-loop join" test_index_nl_join_equivalence;
           tc "trigger depth guard" test_trigger_depth_guard;
           tc "view cycle refused" test_view_cycle;
           tc "prepared plans keep no run state"
             test_prepared_plans_keep_no_run_state;
+          tc "correlated aggregate subqueries"
+            test_correlated_aggregate_subqueries;
           tc "positional ORDER BY and GROUP BY" test_positional_keys;
           tc "three-valued NOT IN" test_three_valued_not_in;
           tc "order by NULLs + limit" test_order_by_nulls_and_limit;
