@@ -2891,6 +2891,7 @@ and compile_aggregate ctx scopes sel cols produce filter =
       let fa = compile_aggregate_expr a in
       fun env group_rows -> numeric_binop Sub (Value.Int 0) (fa env group_rows)
     | _ when has_aggregate e ->
+      ctx.deferred <- ctx.deferred + 1;
       fun _ _ ->
         error "unsupported aggregate expression shape in %s"
           (Sql_printer.expr_to_string e)
